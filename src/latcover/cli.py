@@ -53,9 +53,6 @@ class PosetSummary:
             "breaking_points": list(self.breaking_points),
         }
 
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "PosetSummary":
-        return cls(d["kind"], d["elements"], tuple(d["breaking_points"]))
 
 
 @dataclass(frozen=True)
@@ -73,14 +70,6 @@ class ClassCReport:
             "witness_count": self.witness_count,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "ClassCReport":
-        return cls(
-            d["member"],
-            None if d["witness_m"] is None else tuple(d["witness_m"]),
-            None if d["witness_n"] is None else tuple(d["witness_n"]),
-            d["witness_count"],
-        )
 
 
 @dataclass(frozen=True)
@@ -116,23 +105,6 @@ class AnalysisReport:
             "elapsed_s": self.elapsed_s,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "AnalysisReport":
-        return cls(
-            spec=d["spec"],
-            order=d["order"],
-            primes=tuple(d["primes"]),
-            is_abelian=d["is_abelian"],
-            is_cyclic=d["is_cyclic"],
-            is_solvable=d["is_solvable"],
-            is_nilpotent=d["is_nilpotent"],
-            is_generalized_quaternion=d["is_generalized_quaternion"],
-            n_subgroups=d["n_subgroups"],
-            n_classes=d["n_classes"],
-            posets=tuple(PosetSummary.from_dict(s) for s in d["posets"]),
-            class_c=ClassCReport.from_dict(d["class_c"]),
-            elapsed_s=d["elapsed_s"],
-        )
 
 
 def build_report(a: Analysis, all_witnesses: bool, elapsed_s: float) -> AnalysisReport:

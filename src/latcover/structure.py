@@ -5,19 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import PrimeNotInOrder
-from .groups import GroupTable
+from .groups import GroupTable, _is_prime
 from .subgroups import ConjClassPoset, Subgroup, SubgroupLattice, closure
-
-
-def _is_prime(v: int) -> bool:
-    if v < 2:
-        return False
-    d = 2
-    while d * d <= v:
-        if v % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def primes_of(g: GroupTable | int) -> list[int]:

@@ -105,37 +105,38 @@ class SubgroupLattice:
     """All subgroups of a group, ordered by inclusion.
 
     subset is a bitrow per subgroup: bit j of subset[i] means subs[i] is
-    contained in subs[j].
+    contained in subs[j].  orbit[i] numbers the conjugation orbit of
+    subs[i] in the order enumeration found them; conjugacy_classes turns
+    these numbers into the class poset.
     """
 
     group: GroupTable
     subs: list[Subgroup]
     subset: list[int]
+    orbit: list[int]
     trivial_idx: int
     full_idx: int
-    _by_elems: dict[tuple[int, ...], int] = field(repr=False, default_factory=dict)
+    _index: dict[int, int] = field(repr=False, default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.subs)
 
     def index_of(self, elems: tuple[int, ...] | Subgroup) -> int:
-        if isinstance(elems, Subgroup):
-            elems = elems.elems
-        return self._by_elems[tuple(sorted(elems))]
+        if not isinstance(elems, Subgroup):
+            elems = Subgroup(tuple(elems))
+        return self._index[elems.mask]
 
 
 def enumerate_subgroups(g: GroupTable, max_subgroups: int = DEFAULT_MAX_SUBGROUPS) -> SubgroupLattice:
-    """Enumerate every subgroup of g.
+    """Enumerate every subgroup of g together with its conjugation orbit.
 
-    Works one conjugacy class at a time: each found subgroup is extended
-    by single generators, and each new subgroup contributes its whole
-    conjugation orbit.  Extending only class representatives reaches all
+    Works one conjugacy class at a time: each orbit representative is
+    extended by single generators, and each new subgroup contributes its
+    whole conjugation orbit.  Extending only representatives reaches all
     classes, since closure(H, a) conjugates to closure(H^x, a^x).
     """
     n = g.order
     mul = g.mul
-    inv = g.inv
-    orders = g.element_orders
 
     # one generator per cyclic subgroup keeps the branching factor down
     cyclic_of: dict[int, tuple[int, ...]] = {}
@@ -153,28 +154,25 @@ def enumerate_subgroups(g: GroupTable, max_subgroups: int = DEFAULT_MAX_SUBGROUP
             seen_cyc.add(cyc.mask)
             gen_reps.append(a)
 
-    found: dict[int, tuple[int, ...]] = {1: (0,)}
-    queue: list[tuple[int, ...]] = [(0,)]
+    # mask -> (elements, orbit number); reps[k] represents orbit k
+    found: dict[int, tuple[tuple[int, ...], int]] = {1: ((0,), 0)}
+    reps: list[tuple[int, ...]] = [(0,)]
 
-    def add_orbit(elems: tuple[int, ...]) -> None:
-        sub = Subgroup(elems)
+    def add_orbit(sub: Subgroup) -> None:
         if sub.mask in found:
             return
-        orbit = [sub]
-        found[sub.mask] = elems
-        for x in range(1, n):
+        k = len(reps)
+        reps.append(sub.elems)
+        for x in range(n):
             c = conjugate_subgroup(g, sub, x)
             if c.mask not in found:
-                found[c.mask] = c.elems
-                orbit.append(c)
-        if len(found) > max_subgroups:
-            raise SubgroupCapExceeded(
-                f"more than {max_subgroups} subgroups in group of order {n}"
-            )
-        queue.append(elems)
+                found[c.mask] = (c.elems, k)
+                if len(found) > max_subgroups:
+                    raise SubgroupCapExceeded(
+                        f"more than {max_subgroups} subgroups in group of order {n}"
+                    )
 
-    while queue:
-        base = queue.pop()
+    for base in reps:  # grows as add_orbit finds new orbits
         base_mask = 0
         for e in base:
             base_mask |= 1 << e
@@ -189,10 +187,10 @@ def enumerate_subgroups(g: GroupTable, max_subgroups: int = DEFAULT_MAX_SUBGROUP
                 flags[e] = 1
             fresh = [e for e in cyclic_of[a] if not flags[e]]
             _extend(g, flags, elems, fresh)
-            add_orbit(tuple(sorted(elems)))
+            add_orbit(Subgroup(tuple(sorted(elems))))
 
-    subs = [Subgroup(e) for e in sorted(found.values(), key=lambda t: (len(t), t))]
-    index = {s.elems: i for i, s in enumerate(subs)}
+    ordered = sorted(found.items(), key=lambda kv: (len(kv[1][0]), kv[1][0]))
+    subs = [Subgroup(elems) for _, (elems, _) in ordered]
     subset = []
     for s in subs:
         row = 0
@@ -205,9 +203,10 @@ def enumerate_subgroups(g: GroupTable, max_subgroups: int = DEFAULT_MAX_SUBGROUP
         group=g,
         subs=subs,
         subset=subset,
+        orbit=[k for _, (_, k) in ordered],
         trivial_idx=0,
         full_idx=len(subs) - 1,
-        _by_elems=index,
+        _index={mask: i for i, (mask, _) in enumerate(ordered)},
     )
 
 
@@ -215,7 +214,8 @@ def enumerate_subgroups(g: GroupTable, max_subgroups: int = DEFAULT_MAX_SUBGROUP
 class ConjClassPoset:
     """Conjugacy classes of subgroups, ordered by contained-in-some-member.
 
-    classes[c] lists subgroup indices; rep[c] is the least of them.  Bit
+    classes[c] lists the subgroup indices of one enumeration orbit;
+    rep[c] is the least of them, and classes are numbered by rep.  Bit
     c2 of leq[c1] means some member of c2 contains rep(c1).
     """
 
@@ -231,31 +231,25 @@ class ConjClassPoset:
         return len(self.classes)
 
 
-def conjugacy_classes(g: GroupTable, lat: SubgroupLattice) -> ConjClassPoset:
-    nsub = len(lat.subs)
-    class_of = [-1] * nsub
-    classes: list[tuple[int, ...]] = []
-    for i in range(nsub):
-        if class_of[i] != -1:
-            continue
-        c = len(classes)
-        orbit = {i}
-        for x in range(1, g.order):
-            orbit.add(lat.index_of(conjugate_subgroup(g, lat.subs[i], x)))
-        for j in orbit:
-            class_of[j] = c
-        classes.append(tuple(sorted(orbit)))
+def conjugacy_classes(lat: SubgroupLattice) -> ConjClassPoset:
+    members: dict[int, list[int]] = {}
+    for i, k in enumerate(lat.orbit):
+        members.setdefault(k, []).append(i)
+    # first-seen order of orbits is the order of their least members
+    classes = [tuple(m) for m in members.values()]
+    class_of = [0] * len(lat.subs)
+    for c, cls in enumerate(classes):
+        for i in cls:
+            class_of[i] = c
     rep = [cls[0] for cls in classes]
-    nc = len(classes)
     leq = []
-    for c1 in range(nc):
-        r = lat.subs[rep[c1]]
+    for r in rep:
         row = 0
-        for c2 in range(nc):
-            if r.order and lat.subs[rep[c2]].order % r.order:
-                continue
-            if any(lat.subset[rep[c1]] >> j & 1 for j in classes[c2]):
-                row |= 1 << c2
+        above = lat.subset[r]
+        while above:
+            j = (above & -above).bit_length() - 1
+            row |= 1 << class_of[j]
+            above &= above - 1
         leq.append(row)
     return ConjClassPoset(
         lattice=lat,

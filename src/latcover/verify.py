@@ -13,7 +13,7 @@ from functools import lru_cache
 from typing import Any, Callable
 
 from .errors import SubgroupCapExceeded
-from .groups import DEFAULT_MAX_ORDER, GroupTable, build_group, parse_spec
+from .groups import DEFAULT_MAX_ORDER, GroupTable, _is_prime, build_group, parse_spec
 from .posets import (
     KINDS,
     PosetView,
@@ -117,7 +117,7 @@ def _analyze(spec: str, max_order: int, max_subgroups: int) -> Analysis:
     parsed = parse_spec(spec)
     g = build_group(parsed, max_order)
     lat = enumerate_subgroups(g, max_subgroups)
-    ccp = conjugacy_classes(g, lat)
+    ccp = conjugacy_classes(lat)
     posets = {kind: build_poset(g, lat, ccp, kind) for kind in KINDS}
     return Analysis(parsed.canonical(), g, lat, ccp, posets, build_profile(g, lat, ccp))
 
@@ -469,17 +469,6 @@ FAMILY_NAMES = (
     "alternating",
     "zm",
 )
-
-
-def _is_prime(v: int) -> bool:
-    if v < 2:
-        return False
-    d = 2
-    while d * d <= v:
-        if v % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def _family_specs(family: str, max_order: int) -> list[str]:

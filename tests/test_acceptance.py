@@ -14,6 +14,7 @@ import os
 import subprocess
 import sys
 
+import latcover
 import oracles
 from latcover.groups import parse_spec, validate_group
 from latcover.posets import KINDS, breaking_points, cover_holds, two_interval_cover
@@ -165,6 +166,9 @@ def test_criterion_7_property_suites_over_catalog():
 
 def test_criterion_8_cli_byte_determinism(tmp_path):
     env = {k: v for k, v in os.environ.items() if not k.startswith("LATCOVER_")}
+    # the child must import the same latcover as this test, installed or not
+    src = os.path.dirname(os.path.dirname(latcover.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     payloads = []
     codes = []
     for tag in ("one", "two"):

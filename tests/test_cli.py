@@ -8,7 +8,6 @@ import pytest
 
 from latcover.cli import (
     SCAN_HEADER,
-    AnalysisReport,
     build_report,
     main,
     poset_dot,
@@ -47,7 +46,7 @@ def test_analyze_json_roundtrip(tmp_path, capsys):
     assert loaded["is_generalized_quaternion"] is True
     assert loaded["class_c"]["member"] is True
     assert loaded["class_c"]["witness_count"] >= 1
-    assert AnalysisReport.from_dict(loaded).to_dict() == loaded
+    assert loaded == build_report(analyze_spec("Q16"), True, loaded["elapsed_s"]).to_dict()
 
 
 def test_analyze_dot_output(tmp_path, capsys):

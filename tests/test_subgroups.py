@@ -108,10 +108,15 @@ def test_subset_bitrows_match_containment():
             assert bool(lat.subset[i] >> j & 1) == sa.issubset(b.elems)
 
 
-def test_subgroup_cap():
+# D16 has exactly 19 subgroups
+@pytest.mark.parametrize("cap,raises", [(10, True), (18, True), (19, False)])
+def test_subgroup_cap(cap, raises):
     g = build_group("D16")
-    with pytest.raises(SubgroupCapExceeded):
-        enumerate_subgroups(g, max_subgroups=10)
+    if raises:
+        with pytest.raises(SubgroupCapExceeded, match=f"more than {cap} subgroups in group of order 16"):
+            enumerate_subgroups(g, max_subgroups=cap)
+    else:
+        assert len(enumerate_subgroups(g, max_subgroups=cap).subs) == 19
 
 
 def test_conjugacy_classes_s3():
@@ -141,8 +146,13 @@ def test_orbit_stabilizer(spec):
         assert len(cls) * normalizer(g, rep).order == g.order
 
 
-def test_class_members_are_conjugate():
-    a = analyze_spec("S4")
+# groups whose classes have many members, so orbits must be gathered right
+BIG_ORBITS = ["S4", "D12", "A5", "S4xC2xC2"]
+
+
+@pytest.mark.parametrize("spec", BIG_ORBITS)
+def test_class_members_are_conjugate(spec):
+    a = analyze_spec(spec)
     g = a.group
     for cls in a.classes.classes:
         base = a.lattice.subs[cls[0]]
@@ -158,8 +168,9 @@ def test_class_order_matches_min_member():
     assert mins == sorted(mins)
 
 
-def test_class_leq_matches_definition():
-    a = analyze_spec("D12")
+@pytest.mark.parametrize("spec", BIG_ORBITS)
+def test_class_leq_matches_definition(spec):
+    a = analyze_spec(spec)
     lat, ccp = a.lattice, a.classes
     for x in range(len(ccp.classes)):
         rep_sets = [set(lat.subs[i].elems) for i in ccp.classes[x]]
