@@ -156,17 +156,33 @@ def two_interval_cover(p: PosetView, find_all: bool = False) -> IntervalCoverWit
 
     Bottom and top are excluded as candidates for both slots; m = n is
     allowed.  Search order is fixed: m by descending order then label, n
-    by ascending order then label, ties by node index.
+    by ascending order then label, ties by node index.  When some node
+    is not below m, n must lie below the least such node, so only those
+    candidates are tried, still in search order.
     """
     full = (1 << p.size) - 1
     eligible = [x for x in range(p.size) if x != p.bottom_idx and x != p.top_idx]
     ms = sorted(eligible, key=lambda i: (-p.orders[i], p.labels[i]))
     ns = sorted(eligible, key=lambda i: (p.orders[i], p.labels[i]))
+    rank = {n: r for r, n in enumerate(ns)}
     down = p.down
     pairs: list[tuple[int, int]] = []
     for m in ms:
         dm = down[m]
-        for n in ns:
+        missing = full & ~dm
+        if missing:
+            low = (missing & -missing).bit_length() - 1
+            below = down[low]
+            cands = []
+            while below:
+                x = (below & -below).bit_length() - 1
+                if x in rank:
+                    cands.append(x)
+                below &= below - 1
+            cands.sort(key=rank.__getitem__)
+        else:
+            cands = ns
+        for n in cands:
             if dm | p.leq[n] == full:
                 if not find_all:
                     return IntervalCoverWitness(m, n)

@@ -3,12 +3,20 @@
 Subgroups are stored as sorted element-index tuples plus a bitmask over
 0..order-1, and the full listing is sorted by (order, elements) so every
 index mentioned in reports is stable across runs.
+
+Enumeration is the cyclic extension method over zuppos (Neubüser 1960):
+each class representative is extended by one generator of every cyclic
+subgroup of prime-power order, and every closure is Dimino's coset-based
+step (Butler, LNCS 559, 1991), which adds whole right cosets of the
+subgroup being extended.  Conjugation orbits are collected under a small
+generating set of the group rather than all of it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import and_
 
 from .errors import SubgroupCapExceeded
 from .groups import GroupTable
@@ -34,49 +42,77 @@ class Subgroup:
 
 def closure(g: GroupTable, seed: tuple[int, ...] | list[int]) -> Subgroup:
     """Smallest subgroup containing the seed elements (and the identity)."""
-    fresh = []
-    seen = {0}
+    elems, mask, gens = [0], 1, []
     for s in seed:
         if not 0 <= s < g.order:
             raise ValueError(f"seed element {s} out of range for order {g.order}")
-        if s not in seen:
-            seen.add(s)
-            fresh.append(s)
-    flags = bytearray(g.order)
-    flags[0] = 1
-    elems = [0]
-    _extend(g, flags, elems, fresh)
+        if not mask >> s & 1:
+            elems, mask = _extend(g, elems, mask, gens, s)
+            gens.append(s)
     return Subgroup(tuple(sorted(elems)))
 
 
-def _extend(g: GroupTable, flags: bytearray, elems: list[int], fresh: list[int]) -> None:
-    """Grow (flags, elems) to closure after adding the fresh elements.
+def _extend(g: GroupTable, elems: list[int], mask: int, gens: list[int], a: int) -> tuple[list[int], int]:
+    """Elements and mask of <H, a>, where gens generate H = elems and a is not in H.
 
-    flags/elems must already describe a subgroup not containing fresh.
-    Mutates all three lists in place; elems ends unsorted.
+    Dimino's step: <H, a> is a union of right cosets H*t.  From the coset
+    H*1, every coset representative r and every s in gens + [a] give
+    t = r*s, and the whole coset H*t is added unless t is already in.
+    The result is closed under right multiplication by the generators,
+    so it is the subgroup.  The inputs are not mutated.
     """
-    mul = g.mul
     n = g.order
-    for f in fresh:
-        flags[f] = 1
-    work = list(fresh)
-    elems.extend(fresh)
-    while work:
-        a = work.pop()
-        row = mul[a]
-        for b in tuple(elems):
-            for c in (row[b], mul[b][a]):
-                if not flags[c]:
-                    flags[c] = 1
-                    elems.append(c)
-                    work.append(c)
-        if len(elems) > n // 2:
-            # index 2 subgroups are as large as proper ones get
-            for c in range(n):
-                if not flags[c]:
-                    flags[c] = 1
-                    elems.append(c)
-            return
+    mul = g.mul
+    base = elems
+    elems = list(base)
+    step = [*gens, a]
+    reps = [0]
+    for r in reps:  # grows as cosets are added
+        row = mul[r]
+        for s in step:
+            t = row[s]
+            if mask >> t & 1:
+                continue
+            coset = [mul[h][t] for h in base]
+            elems += coset
+            for c in coset:
+                mask |= 1 << c
+            if len(elems) > n // 2:
+                # index 2 subgroups are as large as proper ones get
+                return list(range(n)), (1 << n) - 1
+            reps.append(t)
+    return elems, mask
+
+
+def _zuppos(g: GroupTable) -> list[int]:
+    """One generator, the least, of each cyclic subgroup of prime-power order."""
+    mul = g.mul
+    orders = g.element_orders
+    seen = bytearray(g.order)
+    out = []
+    for a in range(1, g.order):
+        k = orders[a]
+        p = _prime_of_power(k)
+        if seen[a] or not p:
+            continue
+        out.append(a)
+        # a^j generates <a> exactly when p does not divide j
+        x = a
+        for j in range(1, k):
+            if j % p:
+                seen[x] = 1
+            x = mul[x][a]
+    return out
+
+
+def _prime_of_power(k: int) -> int:
+    """The prime p if k is a power of p (k > 1), else 0."""
+    if k < 2:
+        return 0
+    p = next(d for d in range(2, k + 1) if k % d == 0)
+    while k % p == 0:
+        k //= p
+    return p if k == 1 else 0
 
 
 def conjugate_subgroup(g: GroupTable, sub: Subgroup, x: int) -> Subgroup:
@@ -131,82 +167,83 @@ def enumerate_subgroups(g: GroupTable, max_subgroups: int = DEFAULT_MAX_SUBGROUP
     """Enumerate every subgroup of g together with its conjugation orbit.
 
     Works one conjugacy class at a time: each orbit representative is
-    extended by single generators, and each new subgroup contributes its
-    whole conjugation orbit.  Extending only representatives reaches all
-    classes, since closure(H, a) conjugates to closure(H^x, a^x).
+    extended by every zuppo it lacks, and each new subgroup contributes
+    its whole conjugation orbit.  Extending only representatives reaches
+    all classes, since <H, a> conjugates to <H^x, a^x>; extending only by
+    zuppos reaches all subgroups, since every subgroup is generated by
+    its elements of prime-power order.
     """
     n = g.order
     mul = g.mul
+    inv = g.inv
+    zuppos = _zuppos(g)
 
-    # one generator per cyclic subgroup keeps the branching factor down
-    cyclic_of: dict[int, tuple[int, ...]] = {}
-    gen_reps: list[int] = []
-    seen_cyc: set[int] = set()
-    for a in range(1, n):
-        elems = [0]
-        x = a
-        while x != 0:
-            elems.append(x)
-            x = mul[x][a]
-        cyc = Subgroup(tuple(sorted(elems)))
-        cyclic_of[a] = cyc.elems
-        if cyc.mask not in seen_cyc:
-            seen_cyc.add(cyc.mask)
-            gen_reps.append(a)
+    # conjugation tables of a small generating set; central ones act trivially
+    elems, mask, gens = [0], 1, []
+    for z in zuppos:
+        if not mask >> z & 1:
+            elems, mask = _extend(g, elems, mask, gens, z)
+            gens.append(z)
+    ident = list(range(n))
+    tables = [t for t in ([mul[mul[inv[x]][h]][x] for h in range(n)] for x in gens) if t != ident]
 
-    # mask -> (elements, orbit number); reps[k] represents orbit k
-    found: dict[int, tuple[tuple[int, ...], int]] = {1: ((0,), 0)}
-    reps: list[tuple[int, ...]] = [(0,)]
+    # mask -> (elements, orbit number); reps[k] is (elements, mask, generators) of orbit k
+    found: dict[int, tuple[list[int], int]] = {1: ([0], 0)}
+    reps: list[tuple[list[int], int, list[int]]] = [([0], 1, [])]
 
-    def add_orbit(sub: Subgroup) -> None:
-        if sub.mask in found:
-            return
-        k = len(reps)
-        reps.append(sub.elems)
-        for x in range(n):
-            c = conjugate_subgroup(g, sub, x)
-            if c.mask not in found:
-                found[c.mask] = (c.elems, k)
-                if len(found) > max_subgroups:
-                    raise SubgroupCapExceeded(
-                        f"more than {max_subgroups} subgroups in group of order {n}"
-                    )
+    def add(elems: list[int], mask: int, k: int) -> None:
+        found[mask] = (elems, k)
+        if len(found) > max_subgroups:
+            raise SubgroupCapExceeded(f"more than {max_subgroups} subgroups in group of order {n}")
 
-    for base in reps:  # grows as add_orbit finds new orbits
-        base_mask = 0
-        for e in base:
-            base_mask |= 1 << e
+    for base, base_mask, base_gens in reps:  # grows as new orbits are found
         if len(base) == n:
             continue
-        for a in gen_reps:
-            if base_mask >> a & 1:
+        tried = base_mask
+        for a in zuppos:
+            if tried >> a & 1:
                 continue
-            flags = bytearray(n)
-            elems = list(base)
-            for e in base:
-                flags[e] = 1
-            fresh = [e for e in cyclic_of[a] if not flags[e]]
-            _extend(g, flags, elems, fresh)
-            add_orbit(Subgroup(tuple(sorted(elems))))
+            # every h*a in the coset H*a extends H to the same <H, a>
+            for h in base:
+                tried |= 1 << mul[h][a]
+            elems, mask = _extend(g, base, base_mask, base_gens, a)
+            if mask in found:
+                continue
+            k = len(reps)
+            reps.append((elems, mask, [*base_gens, a]))
+            add(elems, mask, k)
+            # breadth-first over the orbit, one generator's conjugation at a time
+            orbit = [elems]
+            for cur in orbit:
+                for t in tables:
+                    c = [t[h] for h in cur]
+                    m = 0
+                    for e in c:
+                        m |= 1 << e
+                    if m not in found:
+                        add(c, m, k)
+                        orbit.append(c)
 
-    ordered = sorted(found.items(), key=lambda kv: (len(kv[1][0]), kv[1][0]))
-    subs = [Subgroup(elems) for _, (elems, _) in ordered]
-    subset = []
-    for s in subs:
-        row = 0
-        sm = s.mask
-        for j, t in enumerate(subs):
-            if sm & t.mask == sm:
-                row |= 1 << j
-        subset.append(row)
+    ordered = sorted(
+        ((sorted(elems), mask, k) for mask, (elems, k) in found.items()),
+        key=lambda t: (len(t[0]), t[0]),
+    )
+    subs = [Subgroup(tuple(elems)) for elems, _, _ in ordered]
+    # bit j of within[e] means e is in subs[j]
+    within = [0] * n
+    for j, s in enumerate(subs):
+        bit = 1 << j
+        for e in s.elems:
+            within[e] |= bit
+    subset = [reduce(and_, [within[e] for e in s.elems]) for s in subs]
     return SubgroupLattice(
         group=g,
         subs=subs,
         subset=subset,
-        orbit=[k for _, (_, k) in ordered],
+        orbit=[k for _, _, k in ordered],
         trivial_idx=0,
         full_idx=len(subs) - 1,
-        _index={mask: i for i, (mask, _) in enumerate(ordered)},
+        _index={mask: i for i, (_, mask, _) in enumerate(ordered)},
     )
 
 

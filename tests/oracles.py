@@ -147,3 +147,20 @@ def reachability(size: int, edges: list[tuple[int, int]]) -> list[int]:
             row |= 1 << v
         rows.append(row)
     return rows
+
+
+def ordered_cover_pairs(view: PosetView) -> list[tuple[int, int]]:
+    """Every cover pair, listed in two_interval_cover's documented search order.
+
+    m runs by descending order then label, n by ascending order then
+    label, ties by node index; bottom and top are never candidates.
+    """
+    els = [x for x in range(view.size) if x != view.bottom_idx and x != view.top_idx]
+    ms = sorted(els, key=lambda i: (-view.orders[i], view.labels[i], i))
+    ns = sorted(els, key=lambda i: (view.orders[i], view.labels[i], i))
+    return [
+        (m, n)
+        for m in ms
+        for n in ns
+        if all(view.le(x, m) or view.le(n, x) for x in range(view.size))
+    ]

@@ -133,6 +133,22 @@ def test_cover_pairs_match_oracle(spec):
         assert w.all_pairs[0] == (w.m_idx, w.n_idx)
 
 
+@pytest.mark.parametrize(
+    "spec,kind",
+    [(s, k) for s in MIDSIZE for k in KINDS] + [("C2xC2xC2xC2xC2", "Lbar"), ("C2xC2xC2xD8", "Lbar")],
+)
+def test_cover_pairs_in_search_order(spec, kind):
+    view = analyze_spec(spec).posets[kind]
+    want = oracles.ordered_cover_pairs(view)
+    every = two_interval_cover(view, find_all=True)
+    first = two_interval_cover(view)
+    if not want:
+        assert every is None and first is None
+    else:
+        assert every.all_pairs == tuple(want)
+        assert (first.m_idx, first.n_idx) == want[0]
+
+
 def test_cover_search_order_prefers_large_m():
     view = analyze_spec("C6").posets["Lbar"]
     w = two_interval_cover(view)

@@ -1,6 +1,8 @@
 """Subgroup closure, enumeration, and conjugacy classes."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from latcover.errors import SubgroupCapExceeded
@@ -13,7 +15,7 @@ from latcover.subgroups import (
     enumerate_subgroups,
     normalizer,
 )
-from latcover.verify import analyze_spec
+from latcover.verify import CATALOG, analyze_spec
 
 # independently known subgroup counts
 COUNTS = {
@@ -34,6 +36,41 @@ def test_subgroup_counts(spec, count):
     assert len(analyze_spec(spec).lattice.subs) == count
 
 
+def _divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def _gaussian_binomial(k, d, q=2):
+    """Number of d-dimensional subspaces of a k-dimensional space over GF(q)."""
+    num = den = 1
+    for i in range(d):
+        num *= q ** (k - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
+def _elementary_abelian_count(k):
+    return sum(_gaussian_binomial(k, d) for d in range(k + 1))
+
+
+# C<n>: one subgroup per divisor; dihedral of order 2m: tau(m) + sigma(m);
+# elementary abelian 2^k: one subgroup per subspace of GF(2)^k
+CLOSED_FORM = {
+    **{f"C{n}": len(_divisors(n)) for n in (360, 500, 512)},
+    **{f"D{2 * m}": len(_divisors(m)) + sum(_divisors(m)) for m in (30, 60, 64)},
+    **{"x".join(["C2"] * k): _elementary_abelian_count(k) for k in (4, 5, 6)},
+}
+
+
+def test_elementary_abelian_formula():
+    assert [_elementary_abelian_count(k) for k in (4, 5, 6)] == [67, 374, 2825]
+
+
+@pytest.mark.parametrize("spec,count", sorted(CLOSED_FORM.items()))
+def test_subgroup_counts_closed_form(spec, count):
+    assert len(enumerate_subgroups(build_group(spec)).subs) == count
+
+
 def test_closure_examples():
     g = build_group("S3")
     assert closure(g, ()).elems == (0,)
@@ -41,6 +78,26 @@ def test_closure_examples():
     assert closure(g, (2, 3)).order == 6
     # duplicate seeds collapse
     assert closure(g, (3, 3, 4)).elems == (0, 3, 4)
+
+
+def _naive_closure(g, seed):
+    elems = {0, *seed}
+    while True:
+        grown = elems | {g.mul[a][b] for a in elems for b in elems}
+        if grown == elems:
+            return tuple(sorted(elems))
+        elems = grown
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_closure_matches_naive_fixed_point(data):
+    a = analyze_spec(data.draw(st.sampled_from(CATALOG)))
+    g = a.group
+    seed = data.draw(st.lists(st.integers(0, g.order - 1), max_size=4))
+    sub = closure(g, seed)
+    assert sub.elems == _naive_closure(g, seed)
+    assert a.lattice.subs[a.lattice.index_of(sub)] == sub
 
 
 def test_closure_rejects_out_of_range():
@@ -100,8 +157,9 @@ def test_index_of_roundtrip():
         lat.index_of((0, 1))  # not closed in Q8
 
 
-def test_subset_bitrows_match_containment():
-    lat = analyze_spec("D12").lattice
+@pytest.mark.parametrize("spec", ["D12", "S4", "C2xC2xC2xC2"])
+def test_subset_bitrows_match_containment(spec):
+    lat = analyze_spec(spec).lattice
     for i, a in enumerate(lat.subs):
         sa = set(a.elems)
         for j, b in enumerate(lat.subs):
@@ -137,7 +195,7 @@ def test_classes_partition_lattice():
         assert seen == list(range(len(a.lattice.subs)))
 
 
-@pytest.mark.parametrize("spec", ["S4", "A4", "D12", "Q16", "A5"])
+@pytest.mark.parametrize("spec", ["S4", "A4", "D12", "Q16", "A5", "S4xC2xC2", "C2xC2xC2xD8"])
 def test_orbit_stabilizer(spec):
     a = analyze_spec(spec)
     g = a.group
