@@ -279,15 +279,19 @@ def conjugacy_classes(lat: SubgroupLattice) -> ConjClassPoset:
         for i in cls:
             class_of[i] = c
     rep = [cls[0] for cls in classes]
-    leq = []
-    for r in rep:
-        row = 0
-        above = lat.subset[r]
-        while above:
-            j = (above & -above).bit_length() - 1
-            row |= 1 << class_of[j]
-            above &= above - 1
-        leq.append(row)
+    if len(classes) == len(lat.subs):
+        # every orbit is one subgroup (always so when G is abelian): class c is subgroup c
+        leq = list(lat.subset)
+    else:
+        leq = []
+        for r in rep:
+            row = 0
+            above = lat.subset[r]
+            while above:
+                j = (above & -above).bit_length() - 1
+                row |= 1 << class_of[j]
+                above &= above - 1
+            leq.append(row)
     return ConjClassPoset(
         lattice=lat,
         classes=classes,

@@ -122,13 +122,18 @@ def _analyze(spec: str, max_order: int, max_subgroups: int) -> Analysis:
     return Analysis(parsed.canonical(), g, lat, ccp, posets, build_profile(g, lat, ccp))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def analyze_spec(
     spec: str,
     max_order: int = DEFAULT_MAX_ORDER,
     max_subgroups: int = DEFAULT_MAX_SUBGROUPS,
 ) -> Analysis:
-    """Cached full analysis of a spec string."""
+    """Cached full analysis of a spec string.
+
+    The cache keeps the 128 most recent analyses, more than the 40
+    distinct specs `verify all` looks up, so a long-running process does
+    not hold every group it has analyzed.
+    """
     return _analyze(spec, max_order, max_subgroups)
 
 

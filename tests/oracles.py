@@ -1,8 +1,9 @@
 """Brute-force reference implementations the fast engine is tested against.
 
 Everything here trades speed for obviousness: subgroups come from an
-exhaustive subset sweep, poset facts from the raw definitions.  Results
-are cached per spec string because several test modules share them.
+exhaustive subset sweep, poset facts from the raw definitions, table
+associativity from checking every triple.  Results are cached per spec
+string because several test modules share them.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import itertools
 
 import numpy as np
 
-from latcover.groups import GroupTable, element_order
+from latcover.groups import GroupTable, ValidationResult, element_order
 from latcover.posets import PosetView
 from latcover.verify import analyze_spec
 
@@ -81,6 +82,64 @@ def _brute_batched(g: GroupTable) -> list[tuple[int, ...]]:
                 if all(int(m[a, b]) in es for a in row for b in row):
                     out.append(tuple(int(v) for v in row))
     return sorted(out, key=lambda t: (len(t), t))
+
+
+def sweep_validate_group(g: GroupTable) -> ValidationResult:
+    """validate_group with associativity checked by the full O(n^3) sweep.
+
+    The witness of an associativity failure is the least (a, b, c), in
+    index order, with (a*b)*c != a*(b*c).
+    """
+    n = g.order
+    if n < 1 or len(g.mul) != n or any(len(row) != n for row in g.mul):
+        return ValidationResult(False, "shape", (n,))
+    if len(g.inv) != n or len(g.labels) != n:
+        return ValidationResult(False, "shape", (n,))
+    m = np.asarray(g.mul, dtype=np.int64)
+    if m.min() < 0 or m.max() >= n:
+        bad = np.argwhere((m < 0) | (m >= n))[0]
+        return ValidationResult(False, "latin", (int(bad[0]), int(bad[1])))
+    ar = np.arange(n)
+    if not np.array_equal(np.sort(m, axis=1), np.broadcast_to(ar, (n, n))):
+        for i in range(n):
+            seen: dict[int, int] = {}
+            for j, v in enumerate(g.mul[i]):
+                if v in seen:
+                    return ValidationResult(False, "latin", (i, seen[v], j))
+                seen[v] = j
+    if not np.array_equal(np.sort(m, axis=0), np.broadcast_to(ar[:, None], (n, n))):
+        for j in range(n):
+            seen = {}
+            for i in range(n):
+                v = g.mul[i][j]
+                if v in seen:
+                    return ValidationResult(False, "latin", (seen[v], i, j))
+                seen[v] = i
+    if not (np.array_equal(m[0], ar) and np.array_equal(m[:, 0], ar)):
+        for i in range(n):
+            if g.mul[0][i] != i:
+                return ValidationResult(False, "identity", (0, i, g.mul[0][i]))
+            if g.mul[i][0] != i:
+                return ValidationResult(False, "identity", (i, 0, g.mul[i][0]))
+    iv = np.asarray(g.inv, dtype=np.int64)
+    if iv.min() < 0 or iv.max() >= n or not (
+        np.array_equal(m[ar, iv], np.zeros(n, dtype=np.int64))
+        and np.array_equal(m[iv, ar], np.zeros(n, dtype=np.int64))
+    ):
+        for i in range(n):
+            j = g.inv[i]
+            if not 0 <= j < n or g.mul[i][j] != 0 or g.mul[j][i] != 0:
+                return ValidationResult(False, "inverse", (i, j, g.mul[i][j] if 0 <= j < n else -1))
+    # full O(n^3) sweep, chunked so peak memory stays modest
+    block = max(1, (1 << 21) // max(1, n * n))
+    for s in range(0, n, block):
+        rows = m[s : s + block]
+        left = m[rows]          # left[b, j, k] = m[m[s+b, j], k]
+        right = rows[:, m]      # right[b, j, k] = m[s+b, m[j, k]]
+        if not np.array_equal(left, right):
+            b, j, k = np.argwhere(left != right)[0]
+            return ValidationResult(False, "associativity", (s + int(b), int(j), int(k)))
+    return ValidationResult(True)
 
 
 def subgroups_by_spec(spec: str) -> list[tuple[int, ...]]:

@@ -1,6 +1,7 @@
 """Command line behavior: output shapes, exit codes, environment overrides."""
 
 import csv
+import functools
 import io
 import json
 
@@ -14,6 +15,7 @@ from latcover.cli import (
     scan_rows_csv,
     scan_rows_table,
 )
+from latcover import verify
 from latcover.verify import CaseResult, SuiteResult, analyze_spec, scan_class_c
 
 
@@ -107,6 +109,23 @@ def test_verify_all_json(tmp_path, capsys):
         "theorem9",
     ]
     assert all(s["passed"] for s in data["suites"])
+
+
+def test_analyze_cache_is_bounded_and_keeps_verify_all(monkeypatch, tmp_path, capsys):
+    assert analyze_spec.cache_info().maxsize is not None
+    analyze_spec.cache_clear()
+    bounded = tmp_path / "bounded.json"
+    assert main(["verify", "all", "--json", str(bounded)]) == 0
+    info = analyze_spec.cache_info()
+    # every spec verify all looks up stays cached, so none is analyzed twice
+    assert info.misses == info.currsize <= info.maxsize
+    unbounded_cache = functools.lru_cache(maxsize=None)(analyze_spec.__wrapped__)
+    monkeypatch.setattr(verify, "analyze_spec", unbounded_cache)
+    unbounded = tmp_path / "unbounded.json"
+    assert main(["verify", "all", "--json", str(unbounded)]) == 0
+    capsys.readouterr()
+    assert unbounded_cache.cache_info().hits == info.hits
+    assert bounded.read_bytes() == unbounded.read_bytes()
 
 
 def test_verify_unknown_suite_is_exit_2(capsys):

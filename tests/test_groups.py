@@ -1,17 +1,22 @@
 """Group construction: spec-string parsing, the builders, and table validation."""
 
+import random
+
 import pytest
 
+import oracles
 from latcover.errors import OrderCapExceeded, SpecInvalid
 from latcover.groups import (
     DEFAULT_MAX_ORDER,
     GroupTable,
+    ValidationResult,
     build_group,
     direct_product,
     element_order,
     parse_spec,
     validate_group,
 )
+from latcover.verify import CATALOG
 
 
 def test_cyclic_table():
@@ -219,6 +224,59 @@ def test_validate_reports_associativity_with_witness():
     assert res.problem == "associativity"
     a, b, c = res.witness
     assert LOOP5[LOOP5[a][b]][c] != LOOP5[a][LOOP5[b][c]]
+
+
+@pytest.mark.parametrize("spec", CATALOG)
+def test_validate_matches_sweep_on_catalog(spec):
+    g = build_group(spec)
+    assert validate_group(g) == oracles.sweep_validate_group(g) == ValidationResult(True)
+
+
+def _planted(g: GroupTable, rng: random.Random, through_identity: bool) -> GroupTable:
+    """g's table with one intercalate, away from row and column 0, swapped.
+
+    Rows x, y = x*t and columns a, b = t*a, for an involution t, hold the
+    2x2 latin subsquare [[x*a, x*b], [x*b, x*a]].  Swapping it keeps the
+    table latin with identity 0.  With through_identity, x*a = 0, so the
+    recomputed inverses are usually no longer two-sided.
+    """
+    n = g.order
+    while True:
+        x = rng.randrange(1, n)
+        a = g.inv[x] if through_identity else rng.randrange(1, n)
+        t = rng.choice([t for t in range(1, n) if g.mul[t][t] == 0])
+        y, b = g.mul[x][t], g.mul[t][a]
+        if y != 0 and b != 0 and (through_identity or 0 not in (g.mul[x][a], g.mul[x][b])):
+            break
+    mul = [list(row) for row in g.mul]
+    mul[x][a], mul[x][b] = mul[x][b], mul[x][a]
+    mul[y][a], mul[y][b] = mul[y][b], mul[y][a]
+    return GroupTable(n, mul, [row.index(0) for row in mul], list(g.labels), f"{g.spec}+swap")
+
+
+PLANTED = ["C64", "D64", "Q64", "SD64", "M2^6", "C2xC2xC2xC2xC2xC2", "C2xC2xC2xD8", "C4xC4xC4", "S4xC2xC2", "C128"]
+
+
+@pytest.mark.parametrize("spec", PLANTED)
+def test_validate_matches_sweep_on_planted_tables(spec):
+    g = build_group(spec)
+    for seed in range(3):
+        for through_identity in (False, True):
+            h = _planted(g, random.Random(seed), through_identity)
+            res = validate_group(h)
+            assert res == oracles.sweep_validate_group(h)
+            assert res.problem in (("inverse", "associativity") if through_identity else ("associativity",))
+
+
+@pytest.mark.parametrize("spec", ["C16", "C2xC2xC2xC2", "Q16", "D8"])
+def test_validate_matches_sweep_on_loop_times_group(spec):
+    # the group factor takes the lowest indices, so the first generators
+    # found pass the per-generator check and a later one must fail it
+    loop = GroupTable(5, LOOP5, [0, 1, 2, 3, 4], ["e", "a", "b", "c", "d"], "loop5")
+    h = direct_product(loop, build_group(spec))
+    res = validate_group(h)
+    assert res.problem == "associativity"
+    assert res == oracles.sweep_validate_group(h)
 
 
 def test_validate_reports_shape():

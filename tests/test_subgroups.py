@@ -1,5 +1,6 @@
 """Subgroup closure, enumeration, and conjugacy classes."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -226,16 +227,22 @@ def test_class_order_matches_min_member():
     assert mins == sorted(mins)
 
 
-@pytest.mark.parametrize("spec", BIG_ORBITS)
+# C2^6 has only one-subgroup classes, C2xC2xC2xD8 has both kinds
+@pytest.mark.parametrize("spec", BIG_ORBITS + ["C2xC2xC2xC2xC2xC2", "C2xC2xC2xD8"])
 def test_class_leq_matches_definition(spec):
     a = analyze_spec(spec)
     lat, ccp = a.lattice, a.classes
-    for x in range(len(ccp.classes)):
-        rep_sets = [set(lat.subs[i].elems) for i in ccp.classes[x]]
-        for y in range(len(ccp.classes)):
-            target = set(lat.subs[ccp.rep[y]].elems)
-            expect = any(s <= target for s in rep_sets)
-            assert bool(ccp.leq[x] >> y & 1) == expect
+    k = len(ccp.classes)
+    member = np.zeros((len(lat.subs), a.group.order), dtype=np.int64)
+    for i, s in enumerate(lat.subs):
+        member[i, list(s.elems)] = 1
+    missing_from_rep = (1 - member[ccp.rep]).T
+    for x, cls in enumerate(ccp.classes):
+        # some member of class x lies in rep(y): none of its elements is missing there
+        expect = (member[list(cls)] @ missing_from_rep == 0).any(axis=0)
+        row = np.frombuffer(ccp.leq[x].to_bytes((k + 7) // 8, "little"), dtype=np.uint8)
+        got = np.unpackbits(row, bitorder="little")[:k].astype(bool)
+        assert np.array_equal(got, expect)
 
 
 def test_abelian_classes_are_singletons():
