@@ -1,10 +1,11 @@
 """Command line interface: analyze, verify, scan.
 
-Exit codes: 0 success, 1 a verification suite failed, 2 bad usage or an
-invalid spec, 3 an order or subgroup cap was exceeded.  Environment
-variables LATCOVER_MAX_ORDER, LATCOVER_MAX_SUBGROUPS, LATCOVER_POSET and
-LATCOVER_ALL_WITNESSES override the matching option defaults.  Stdout is
-for humans; machine-readable output goes to --json/--csv paths only.
+Exit codes: 0 success, 1 a verification suite failed, 2 bad usage (a
+cap below 1 included) or an invalid spec, 3 an order or subgroup cap was
+exceeded.  Environment variables LATCOVER_MAX_ORDER,
+LATCOVER_MAX_SUBGROUPS, LATCOVER_POSET and LATCOVER_ALL_WITNESSES
+override the matching option defaults.  Stdout is for humans;
+machine-readable output goes to --json/--csv paths only.
 """
 
 from __future__ import annotations
@@ -303,11 +304,25 @@ def cmd_scan(args: argparse.Namespace) -> int:
     return 0
 
 
-def _env_int(name: str, default: int) -> int:
+def _cap(raw: str) -> int:
+    """An order or subgroup cap: an integer of at least 1."""
+    try:
+        value = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"a cap must be at least 1, got {value}")
+    return value
+
+
+def _env_cap(name: str, default: int) -> int:
     raw = os.environ.get(name)
     if raw is None or raw == "":
         return default
-    return int(raw)
+    try:
+        return _cap(raw)
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"{name}: {exc}") from None
 
 
 def _env_flag(name: str) -> bool:
@@ -320,8 +335,8 @@ def _env_flag(name: str) -> bool:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    max_order = _env_int("LATCOVER_MAX_ORDER", DEFAULT_MAX_ORDER)
-    max_subgroups = _env_int("LATCOVER_MAX_SUBGROUPS", DEFAULT_MAX_SUBGROUPS)
+    max_order = _env_cap("LATCOVER_MAX_ORDER", DEFAULT_MAX_ORDER)
+    max_subgroups = _env_cap("LATCOVER_MAX_SUBGROUPS", DEFAULT_MAX_SUBGROUPS)
     poset = os.environ.get("LATCOVER_POSET", "Lbar")
     if poset not in KINDS:
         raise ValueError(f"LATCOVER_POSET must be one of {', '.join(KINDS)}, got {poset!r}")
@@ -344,8 +359,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default=all_witnesses,
         help="count every covering pair instead of stopping at the first",
     )
-    pa.add_argument("--max-order", type=int, default=max_order)
-    pa.add_argument("--max-subgroups", type=int, default=max_subgroups)
+    pa.add_argument("--max-order", type=_cap, default=max_order)
+    pa.add_argument("--max-subgroups", type=_cap, default=max_subgroups)
     pa.set_defaults(func=cmd_analyze)
 
     pv = sub.add_parser("verify", help="run verification suites")
@@ -359,8 +374,8 @@ def _build_parser() -> argparse.ArgumentParser:
     pv.set_defaults(func=cmd_verify)
 
     ps = sub.add_parser("scan", help="sweep group families for class membership")
-    ps.add_argument("--max-order", type=int, default=max_order)
-    ps.add_argument("--max-subgroups", type=int, default=max_subgroups)
+    ps.add_argument("--max-order", type=_cap, default=max_order)
+    ps.add_argument("--max-subgroups", type=_cap, default=max_subgroups)
     ps.add_argument(
         "--families",
         metavar="LIST",

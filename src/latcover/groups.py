@@ -42,6 +42,11 @@ class GroupTable:
     def element_orders(self) -> list[int]:
         return [element_order(self, i) for i in range(self.order)]
 
+    @cached_property
+    def generators(self) -> list[int] | None:
+        """At most order.bit_length() elements generating the group, or None if the table is not a group."""
+        return _right_generators(self.mul)
+
 
 @dataclass(frozen=True)
 class ValidationResult:
@@ -155,7 +160,7 @@ def validate_group(g: GroupTable) -> ValidationResult:
             j = g.inv[i]
             if not 0 <= j < n or g.mul[i][j] != 0 or g.mul[j][i] != 0:
                 return ValidationResult(False, "inverse", (i, j, g.mul[i][j] if 0 <= j < n else -1))
-    gens = _right_generators(g.mul)
+    gens = g.generators
     if gens is not None and all(np.array_equal(m[m[:, a]], m[:, m[a]]) for a in gens):
         return ValidationResult(True)
     # full O(n^3) sweep, chunked so peak memory stays modest
@@ -192,15 +197,20 @@ def _is_pow2(v: int) -> bool:
     return v >= 1 and v & (v - 1) == 0
 
 
-def _is_prime(v: int) -> bool:
-    if v < 2:
-        return False
+def primes_of(g: GroupTable | int) -> list[int]:
+    """Distinct prime divisors of the group order (or of an integer), ascending."""
+    n = g if isinstance(g, int) else g.order
+    out = []
     d = 2
-    while d * d <= v:
-        if v % d == 0:
-            return False
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
         d += 1
-    return True
+    if n > 1:
+        out.append(n)
+    return out
 
 
 @dataclass(frozen=True)
@@ -254,7 +264,7 @@ class ModularMaxCyclic(GroupSpec):
     n: int
 
     def validate(self) -> None:
-        if not _is_prime(self.p):
+        if primes_of(self.p) != [self.p]:
             raise SpecInvalid(f"modular family needs a prime base, got {self.p}")
         if self.p == 2 and self.n < 4:
             raise SpecInvalid(f"M2^n needs n >= 4, got n={self.n}")

@@ -1,77 +1,53 @@
-"""Structural facts about a group read off its table and lattice."""
+"""Structural facts about a group read off its lattice and generators.
+
+The profile flags do no pass over the Cayley table: abelian means the
+generators commute pairwise, nilpotent that every Sylow subgroup is the
+only subgroup of its order (Sylow subgroups are conjugate, so one is
+normal exactly when it is unique), and solvable that a p-complement
+exists for every prime p (P. Hall, 1928 and 1937).
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .errors import PrimeNotInOrder
-from .groups import GroupTable, _is_prime
-from .subgroups import ConjClassPoset, Subgroup, SubgroupLattice, closure
-
-
-def primes_of(g: GroupTable | int) -> list[int]:
-    """Distinct prime divisors of the group order, ascending."""
-    n = g if isinstance(g, int) else g.order
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+from .groups import GroupTable, primes_of
+from .subgroups import ConjClassPoset, Subgroup, SubgroupLattice, closure, normalizer
 
 
 def _check_prime(g: GroupTable, p: int) -> None:
-    if not _is_prime(p) or g.order % p:
+    if primes_of(p) != [p] or g.order % p:
         raise PrimeNotInOrder(f"{p} is not a prime divisor of group order {g.order}")
 
 
 def is_abelian(g: GroupTable) -> bool:
+    """Every pair of generators commutes."""
     mul = g.mul
-    return all(mul[i][j] == mul[j][i] for i in range(g.order) for j in range(i + 1, g.order))
+    gens = g.generators
+    return all(mul[a][b] == mul[b][a] for i, a in enumerate(gens) for b in gens[i + 1 :])
 
 
 def is_cyclic(g: GroupTable) -> bool:
     return any(o == g.order for o in g.element_orders)
 
 
-def _commutator_closure(g: GroupTable, elems: tuple[int, ...]) -> Subgroup:
+def derived_subgroup(g: GroupTable) -> Subgroup:
+    """Subgroup generated by all commutators."""
     mul = g.mul
     inv = g.inv
-    comms = {mul[mul[inv[x]][inv[y]]][mul[x][y]] for x in elems for y in elems}
+    n = g.order
+    comms = {mul[mul[inv[x]][inv[y]]][mul[x][y]] for x in range(n) for y in range(n)}
     return closure(g, tuple(comms))
 
 
-def derived_subgroup(g: GroupTable) -> Subgroup:
-    """Subgroup generated by all commutators."""
-    return _commutator_closure(g, tuple(range(g.order)))
-
-
-def is_solvable(g: GroupTable) -> bool:
-    """Derived series reaches the trivial subgroup."""
-    cur = tuple(range(g.order))
-    while True:
-        nxt = _commutator_closure(g, cur).elems
-        if len(nxt) == 1:
-            return True
-        if len(nxt) == len(cur):
-            return False
-        cur = nxt
+def is_solvable(g: GroupTable, lat: SubgroupLattice) -> bool:
+    """A p-complement exists for every prime p (Hall's theorem)."""
+    return all(p_complement(g, lat, p) is not None for p in primes_of(g))
 
 
 def is_normal(g: GroupTable, sub: Subgroup) -> bool:
-    mask = sub.mask
-    mul = g.mul
-    inv = g.inv
-    for x in range(g.order):
-        pre = mul[inv[x]]
-        if not all(mask >> mul[pre[h]][x] & 1 for h in sub.elems):
-            return False
-    return True
+    return normalizer(g, sub).order == g.order
 
 
 def _p_valuation(n: int, p: int) -> int:
@@ -90,12 +66,8 @@ def sylow_subgroups(g: GroupTable, lat: SubgroupLattice, p: int) -> list[int]:
 
 
 def is_nilpotent(g: GroupTable, lat: SubgroupLattice) -> bool:
-    """Every Sylow subgroup is normal."""
-    for p in primes_of(g):
-        first = sylow_subgroups(g, lat, p)[0]
-        if not is_normal(g, lat.subs[first]):
-            return False
-    return True
+    """Every Sylow subgroup is normal, that is, the only one of its order."""
+    return all(len(sylow_subgroups(g, lat, p)) == 1 for p in primes_of(g))
 
 
 def omega1(g: GroupTable, lat: SubgroupLattice, p: int) -> Subgroup:
@@ -184,7 +156,7 @@ def build_profile(g: GroupTable, lat: SubgroupLattice, ccp: ConjClassPoset) -> S
         is_cyclic=is_cyclic(g),
         is_p_group=len(ps) == 1,
         is_nilpotent=is_nilpotent(g, lat),
-        is_solvable=is_solvable(g),
+        is_solvable=is_solvable(g, lat),
         is_generalized_quaternion=is_generalized_quaternion(g, lat),
         exponent_facts=counts,
     )

@@ -19,7 +19,7 @@ from functools import cached_property, reduce
 from operator import and_
 
 from .errors import SubgroupCapExceeded
-from .groups import GroupTable
+from .groups import GroupTable, primes_of
 
 DEFAULT_MAX_SUBGROUPS = 100_000
 
@@ -91,10 +91,13 @@ def _zuppos(g: GroupTable) -> list[int]:
     seen = bytearray(g.order)
     out = []
     for a in range(1, g.order):
-        k = orders[a]
-        p = _prime_of_power(k)
-        if seen[a] or not p:
+        if seen[a]:
             continue
+        k = orders[a]
+        ps = primes_of(k)
+        if len(ps) != 1:
+            continue
+        p = ps[0]
         out.append(a)
         # a^j generates <a> exactly when p does not divide j
         x = a
@@ -103,16 +106,6 @@ def _zuppos(g: GroupTable) -> list[int]:
                 seen[x] = 1
             x = mul[x][a]
     return out
-
-
-def _prime_of_power(k: int) -> int:
-    """The prime p if k is a power of p (k > 1), else 0."""
-    if k < 2:
-        return 0
-    p = next(d for d in range(2, k + 1) if k % d == 0)
-    while k % p == 0:
-        k //= p
-    return p if k == 1 else 0
 
 
 def conjugate_subgroup(g: GroupTable, sub: Subgroup, x: int) -> Subgroup:
@@ -178,23 +171,20 @@ def enumerate_subgroups(g: GroupTable, max_subgroups: int = DEFAULT_MAX_SUBGROUP
     inv = g.inv
     zuppos = _zuppos(g)
 
-    # conjugation tables of a small generating set; central ones act trivially
-    elems, mask, gens = [0], 1, []
-    for z in zuppos:
-        if not mask >> z & 1:
-            elems, mask = _extend(g, elems, mask, gens, z)
-            gens.append(z)
+    # conjugation tables of the group's generators; central ones act trivially
     ident = list(range(n))
-    tables = [t for t in ([mul[mul[inv[x]][h]][x] for h in range(n)] for x in gens) if t != ident]
+    tables = [t for t in ([mul[mul[inv[x]][h]][x] for h in range(n)] for x in g.generators) if t != ident]
 
     # mask -> (elements, orbit number); reps[k] is (elements, mask, generators) of orbit k
-    found: dict[int, tuple[list[int], int]] = {1: ([0], 0)}
+    found: dict[int, tuple[list[int], int]] = {}
     reps: list[tuple[list[int], int, list[int]]] = [([0], 1, [])]
 
     def add(elems: list[int], mask: int, k: int) -> None:
         found[mask] = (elems, k)
         if len(found) > max_subgroups:
             raise SubgroupCapExceeded(f"more than {max_subgroups} subgroups in group of order {n}")
+
+    add([0], 1, 0)  # the trivial subgroup counts against the cap too
 
     for base, base_mask, base_gens in reps:  # grows as new orbits are found
         if len(base) == n:

@@ -13,7 +13,7 @@ from functools import lru_cache
 from typing import Any, Callable
 
 from .errors import SubgroupCapExceeded
-from .groups import DEFAULT_MAX_ORDER, GroupTable, _is_prime, build_group, parse_spec
+from .groups import DEFAULT_MAX_ORDER, GroupTable, build_group, parse_spec, primes_of
 from .posets import (
     KINDS,
     PosetView,
@@ -490,7 +490,7 @@ def _family_specs(family: str, max_order: int) -> list[str]:
         out = []
         p = 2
         while p**3 <= max_order:
-            if _is_prime(p):
+            if primes_of(p) == [p]:
                 n = 4 if p == 2 else 3
                 while p**n <= max_order:
                     out.append(f"M{p}^{n}")

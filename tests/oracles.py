@@ -2,7 +2,8 @@
 
 Everything here trades speed for obviousness: subgroups come from an
 exhaustive subset sweep, poset facts from the raw definitions, table
-associativity from checking every triple.  Results are cached per spec
+associativity from checking every triple, and the abelian, nilpotent and
+solvable flags from sweeps over the table.  Results are cached per spec
 string because several test modules share them.
 """
 
@@ -12,8 +13,10 @@ import itertools
 
 import numpy as np
 
-from latcover.groups import GroupTable, ValidationResult, element_order
+from latcover.groups import GroupTable, ValidationResult, element_order, primes_of
 from latcover.posets import PosetView
+from latcover.structure import sylow_subgroups
+from latcover.subgroups import Subgroup, SubgroupLattice, closure
 from latcover.verify import analyze_spec
 
 _SUBGROUP_CACHE: dict[str, list[tuple[int, ...]]] = {}
@@ -140,6 +143,51 @@ def sweep_validate_group(g: GroupTable) -> ValidationResult:
             b, j, k = np.argwhere(left != right)[0]
             return ValidationResult(False, "associativity", (s + int(b), int(j), int(k)))
     return ValidationResult(True)
+
+
+def sweep_is_abelian(g: GroupTable) -> bool:
+    """Every pair of elements commutes."""
+    mul = g.mul
+    return all(mul[i][j] == mul[j][i] for i in range(g.order) for j in range(i + 1, g.order))
+
+
+def _is_normal_by_conjugation(g: GroupTable, sub: Subgroup) -> bool:
+    mask = sub.mask
+    mul = g.mul
+    inv = g.inv
+    for x in range(g.order):
+        pre = mul[inv[x]]
+        if not all(mask >> mul[pre[h]][x] & 1 for h in sub.elems):
+            return False
+    return True
+
+
+def normal_sylow_is_nilpotent(g: GroupTable, lat: SubgroupLattice) -> bool:
+    """A Sylow p-subgroup is normal, checked by conjugating it by every element, for each p."""
+    for p in primes_of(g):
+        first = sylow_subgroups(g, lat, p)[0]
+        if not _is_normal_by_conjugation(g, lat.subs[first]):
+            return False
+    return True
+
+
+def _commutator_closure(g: GroupTable, elems: tuple[int, ...]) -> Subgroup:
+    mul = g.mul
+    inv = g.inv
+    comms = {mul[mul[inv[x]][inv[y]]][mul[x][y]] for x in elems for y in elems}
+    return closure(g, tuple(comms))
+
+
+def derived_series_is_solvable(g: GroupTable) -> bool:
+    """The derived series G, G', G'', ... reaches the trivial subgroup."""
+    cur = tuple(range(g.order))
+    while True:
+        nxt = _commutator_closure(g, cur).elems
+        if len(nxt) == 1:
+            return True
+        if len(nxt) == len(cur):
+            return False
+        cur = nxt
 
 
 def subgroups_by_spec(spec: str) -> list[tuple[int, ...]]:

@@ -217,6 +217,23 @@ def test_env_bad_int_is_exit_2(monkeypatch, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["analyze", "C4"], ["scan", "--max-order", "8"]])
+@pytest.mark.parametrize("option", ["--max-order", "--max-subgroups"])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_cap_below_one_is_exit_2(argv, option, value, capsys):
+    assert main([*argv, option, value]) == 2
+    assert f"argument {option}: a cap must be at least 1, got {value}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["analyze", "C4"], ["scan", "--max-order", "8"]])
+@pytest.mark.parametrize("name", ["LATCOVER_MAX_ORDER", "LATCOVER_MAX_SUBGROUPS"])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_env_cap_below_one_is_exit_2(argv, name, value, monkeypatch, capsys):
+    monkeypatch.setenv(name, value)
+    assert main(argv) == 2
+    assert f"error: {name}: a cap must be at least 1, got {value}" in capsys.readouterr().err
+
+
 def test_env_poset_choice(monkeypatch, tmp_path, capsys):
     monkeypatch.setenv("LATCOVER_POSET", "L")
     path = tmp_path / "d.dot"

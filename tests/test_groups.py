@@ -16,6 +16,7 @@ from latcover.groups import (
     parse_spec,
     validate_group,
 )
+from latcover.subgroups import closure
 from latcover.verify import CATALOG
 
 
@@ -224,6 +225,13 @@ def test_validate_reports_associativity_with_witness():
     assert res.problem == "associativity"
     a, b, c = res.witness
     assert LOOP5[LOOP5[a][b]][c] != LOOP5[a][LOOP5[b][c]]
+
+
+@pytest.mark.parametrize("spec", [*CATALOG, "C512", "M2^8", "Q256", "C2xC2xC2xC2xC2xC2xC2", "A4xA4"])
+def test_generators_generate_the_group(spec):
+    g = build_group(spec)
+    assert closure(g, g.generators).order == g.order
+    assert len(g.generators) <= g.order.bit_length()
 
 
 @pytest.mark.parametrize("spec", CATALOG)

@@ -1,7 +1,9 @@
 """Structural recognizers read off the table and lattice."""
 
 import pytest
+from sympy.combinatorics import Permutation, PermutationGroup
 
+import oracles
 from latcover.errors import PrimeNotInOrder
 from latcover.groups import build_group
 from latcover.structure import (
@@ -22,8 +24,26 @@ from latcover.structure import (
     primes_of,
     sylow_subgroups,
 )
-from latcover.subgroups import closure
-from latcover.verify import CATALOG, analyze_spec
+from latcover.subgroups import closure, conjugacy_classes, enumerate_subgroups
+from latcover.verify import CATALOG, FAMILY_NAMES, _family_specs, analyze_spec
+
+# PSL(2,7) on the projective line over F7: x+1 and -1/x; of its primes
+# only 3 has no complement, so a Hall check that skips 3 calls it solvable
+PSL27 = "perm:8:(1,2,3,4,5,6,7);(1,8)(2,7)(3,4)(5,6)"
+PROFILE_SPECS = list(
+    dict.fromkeys(
+        [
+            *CATALOG,
+            *(spec for fam in FAMILY_NAMES for spec in _family_specs(fam, 64)),
+            "S5",
+            "A5xC2",
+            "A4xA4",
+            "S4xC2xC2",
+            "C2xC2xC2xD8",
+            PSL27,
+        ]
+    )
+)
 
 
 def test_primes_of_accepts_group_or_order():
@@ -53,8 +73,10 @@ def test_derived_subgroups():
 
 def test_solvability():
     for spec in ("C1", "S3", "S4", "Q16", "ZM(7,3,2)", "C2xC2xM3^3"):
-        assert is_solvable(analyze_spec(spec).group), spec
-    assert not is_solvable(analyze_spec("A5").group)
+        a = analyze_spec(spec)
+        assert is_solvable(a.group, a.lattice), spec
+    a5 = analyze_spec("A5")
+    assert not is_solvable(a5.group, a5.lattice)
 
 
 def test_is_normal():
@@ -207,3 +229,28 @@ def test_profile_q16():
     assert pr.primes == (2,)
     assert pr.is_p_group and pr.is_generalized_quaternion
     assert pr.exponent_facts == {2: 1}
+
+
+def _regular_permutation_group(g):
+    """g as sympy permutations of its elements, x -> x*a for each generator a."""
+    perms = [Permutation([g.mul[x][a] for x in range(g.order)]) for a in g.generators]
+    return PermutationGroup(perms or [Permutation([0])])
+
+
+def test_profile_flags_match_oracles_and_sympy():
+    mismatches = []
+    for spec in PROFILE_SPECS:
+        g = build_group(spec)
+        lat = enumerate_subgroups(g)
+        pr = build_profile(g, lat, conjugacy_classes(lat))
+        got = (pr.is_abelian, pr.is_nilpotent, pr.is_solvable, derived_subgroup(g).order)
+        oracle = (
+            oracles.sweep_is_abelian(g),
+            oracles.normal_sylow_is_nilpotent(g, lat),
+            oracles.derived_series_is_solvable(g),
+        )
+        sp = _regular_permutation_group(g)
+        ref = (sp.is_abelian, sp.is_nilpotent, sp.is_solvable, sp.derived_subgroup().order())
+        if sp.order() != g.order or got[:3] != oracle or got != ref:
+            mismatches.append((spec, got, oracle, ref, sp.order()))
+    assert mismatches == []

@@ -178,6 +178,20 @@ def test_subgroup_cap(cap, raises):
         assert len(enumerate_subgroups(g, max_subgroups=cap).subs) == 19
 
 
+@pytest.mark.parametrize("spec", ["C1", "D16"])
+@pytest.mark.parametrize("cap", [0, -3])
+def test_subgroup_cap_below_one_counts_trivial_subgroup(spec, cap):
+    g = build_group(spec)
+    with pytest.raises(SubgroupCapExceeded, match=f"more than {cap} subgroups in group of order {g.order}"):
+        enumerate_subgroups(g, max_subgroups=cap)
+
+
+def test_subgroup_cap_of_one_admits_trivial_group():
+    assert len(enumerate_subgroups(build_group("C1"), max_subgroups=1).subs) == 1
+    with pytest.raises(SubgroupCapExceeded):
+        enumerate_subgroups(build_group("C2"), max_subgroups=1)
+
+
 def test_conjugacy_classes_s3():
     a = analyze_spec("S3")
     assert a.classes.classes == [(0,), (1, 2, 3), (4,), (5,)]
