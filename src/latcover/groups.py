@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property, reduce
 
@@ -40,7 +41,48 @@ class GroupTable:
 
     @cached_property
     def element_orders(self) -> list[int]:
-        return [element_order(self, i) for i in range(self.order)]
+        return self._cyclic_walk[0]
+
+    @cached_property
+    def least_generator(self) -> list[int]:
+        """For each element x, the least element generating the cyclic subgroup <x>."""
+        return self._cyclic_walk[1]
+
+    @cached_property
+    def _cyclic_walk(self) -> tuple[list[int], list[int]]:
+        """Element orders and least generators, from one walk per cyclic subgroup.
+
+        The powers of a are walked once, for the least a outside every
+        cyclic subgroup walked so far.  With k = ord(a), the power a^j has
+        order k/gcd(j, k), and a^i, a^j generate the same subgroup exactly
+        when gcd(i, k) = gcd(j, k).  A subgroup met again inside a later
+        walk keeps what the first walk set, which is the same.
+        """
+        n = self.order
+        mul = self.mul
+        orders = [0] * n
+        least = [0] * n
+        orders[0] = 1
+        for a in range(1, n):
+            if orders[a]:
+                continue
+            powers = []
+            x = a
+            while x:
+                powers.append(x)
+                x = mul[x][a]
+            k = len(powers) + 1
+            gcds = [math.gcd(j, k) for j in range(1, k)]
+            first: dict[int, int] = {}
+            for d, x in zip(gcds, powers):
+                if not orders[x]:
+                    orders[x] = k // d
+                    if x < first.get(d, n):
+                        first[d] = x
+            for d, x in zip(gcds, powers):
+                if d in first:
+                    least[x] = first[d]
+        return orders, least
 
     @cached_property
     def generators(self) -> list[int] | None:
@@ -375,23 +417,32 @@ class DirectProduct(GroupSpec):
 
 @dataclass(frozen=True)
 class PermGenerated(GroupSpec):
-    """Closure of explicit permutation generators on points 0..degree-1."""
+    """Closure of explicit permutation generators on points 0..degree-1.
+
+    Only the points some generator moves are kept, in ascending order:
+    each generator permutes 0..len(points)-1, where i stands for
+    points[i], so the cost follows the cycles written, not the degree.
+    """
 
     degree: int
+    points: tuple[int, ...]
     generators: tuple[tuple[int, ...], ...]
 
     def validate(self) -> None:
         if self.degree < 1:
             raise SpecInvalid(f"permutation degree must be >= 1, got {self.degree}")
+        pts = list(self.points)
+        if pts != sorted(set(pts)) or any(not 0 <= v < self.degree for v in pts):
+            raise SpecInvalid(f"moved points must be distinct, ascending and in 0..{self.degree - 1}")
         for p in self.generators:
-            if sorted(p) != list(range(self.degree)):
-                raise SpecInvalid(f"not a permutation of 0..{self.degree - 1}: {p}")
+            if sorted(p) != list(range(len(self.points))):
+                raise SpecInvalid(f"not a permutation of the {len(self.points)} moved points: {p}")
 
     def expected_order(self) -> None:
         return None
 
     def canonical(self) -> str:
-        gens = ";".join(_cycles_text(p) for p in self.generators)
+        gens = ";".join(_cycles_text(p, self.points) for p in self.generators)
         return f"perm:{self.degree}:{gens}"
 
 
@@ -421,25 +472,34 @@ def _split_product(text: str) -> list[str]:
     return parts
 
 
-def _parse_cycles(degree: int, text: str) -> tuple[int, ...]:
-    """One generator written as 1-based cycles, e.g. '(1,2)(3,4)'."""
+def _int(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:
+        # past the interpreter's limit on digits converted (4300 by default)
+        raise SpecInvalid(f"integer of {len(digits)} digits is too long") from None
+
+
+def _parse_cycles(degree: int, text: str) -> dict[int, int]:
+    """One generator written as 1-based cycles, e.g. '(1,2)(3,4)', as a map of the points it moves."""
     if text == "()":
-        return tuple(range(degree))
+        return {}
     if not re.fullmatch(r"(\(\d+(,\d+)*\))+", text):
         raise SpecInvalid(f"bad cycle notation: {text!r}")
-    perm = list(range(degree))
+    perm: dict[int, int] = {}
+    pre: dict[int, int] = {}  # inverse of perm
     for body in re.findall(r"\(([^()]*)\)", text):
-        pts = [int(v) - 1 for v in body.split(",")]
+        pts = [_int(v) - 1 for v in body.split(",")]
         if any(not 0 <= v < degree for v in pts):
             raise SpecInvalid(f"cycle point out of range 1..{degree}: ({body})")
         if len(set(pts)) != len(pts):
             raise SpecInvalid(f"repeated point in cycle ({body})")
-        cyc = list(range(degree))
-        for a, b in zip(pts, pts[1:] + pts[:1]):
-            cyc[a] = b
-        # compose: apply accumulated permutation, then this cycle
-        perm = [cyc[v] for v in perm]
-    return tuple(perm)
+        # compose: apply accumulated permutation, then this cycle, so the
+        # point perm sends to a now goes on to the cycle's image of a
+        moved = {pre.get(a, a): b for a, b in zip(pts, pts[1:] + pts[:1])}
+        perm.update(moved)
+        pre.update({b: v for v, b in moved.items()})
+    return {v: w for v, w in perm.items() if v != w}
 
 
 def parse_spec(text: str) -> GroupSpec:
@@ -463,32 +523,35 @@ def parse_spec(text: str) -> GroupSpec:
 
 def _parse_atom(s: str) -> GroupSpec:
     if m := re.fullmatch(r"C(\d+)", s):
-        return Cyclic(int(m.group(1)))
+        return Cyclic(_int(m.group(1)))
     if m := re.fullmatch(r"SD(\d+)", s):
-        return Semidihedral(int(m.group(1)))
+        return Semidihedral(_int(m.group(1)))
     if m := re.fullmatch(r"S(\d+)", s):
-        return Symmetric(int(m.group(1)))
+        return Symmetric(_int(m.group(1)))
     if m := re.fullmatch(r"Dic(\d+)", s):
-        return Dicyclic(int(m.group(1)))
+        return Dicyclic(_int(m.group(1)))
     if m := re.fullmatch(r"D(\d+)", s):
-        return Dihedral(int(m.group(1)))
+        return Dihedral(_int(m.group(1)))
     if m := re.fullmatch(r"Q(\d+)", s):
-        q = int(m.group(1))
+        q = _int(m.group(1))
         if not _is_pow2(q) or q < 8:
             raise SpecInvalid(f"quaternion order must be 2^n >= 8, got {q}")
         return Dicyclic(q // 4)
     if m := re.fullmatch(r"M(\d+)\^(\d+)", s):
-        return ModularMaxCyclic(int(m.group(1)), int(m.group(2)))
+        return ModularMaxCyclic(_int(m.group(1)), _int(m.group(2)))
     if m := re.fullmatch(r"A(\d+)", s):
-        return Alternating(int(m.group(1)))
+        return Alternating(_int(m.group(1)))
     if m := re.fullmatch(r"ZM\((\d+),(\d+),(\d+)\)", s):
-        return ZM(int(m.group(1)), int(m.group(2)), int(m.group(3)))
+        return ZM(_int(m.group(1)), _int(m.group(2)), _int(m.group(3)))
     if m := re.fullmatch(r"perm:(\d+):(.+)", s):
-        degree = int(m.group(1))
+        degree = _int(m.group(1))
         if degree < 1:
             raise SpecInvalid(f"permutation degree must be >= 1, got {degree}")
-        gens = tuple(_parse_cycles(degree, part) for part in m.group(2).split(";"))
-        return PermGenerated(degree, gens)
+        maps = [_parse_cycles(degree, part) for part in m.group(2).split(";")]
+        points = tuple(sorted(set().union(*maps)))
+        local = {v: i for i, v in enumerate(points)}
+        gens = tuple(tuple(local[mp.get(v, v)] for v in points) for mp in maps)
+        return PermGenerated(degree, points, gens)
     raise SpecInvalid(f"unrecognized group spec {s!r}")
 
 
@@ -496,8 +559,21 @@ def _parse_atom(s: str) -> GroupSpec:
 # table builders
 
 
-def _inv_from_mul(mul: list[list[int]]) -> list[int]:
-    return [row.index(0) for row in mul]
+def _rows(m: np.ndarray) -> list[list[int]]:
+    """An n x n array of indices as lists of plain ints, one shared int object per index.
+
+    CPython already shares the ints up to 256.  Above that, plain
+    .tolist() makes a fresh int for every cell: 4 MB more for a
+    512 x 512 table, whose list slots take 2 MB.
+    """
+    if len(m) <= 257:
+        return m.tolist()
+    return np.array(range(len(m)), dtype=object)[m].tolist()
+
+
+def _from_array(m: np.ndarray, labels: list[str], spec_str: str) -> GroupTable:
+    """A group table built as an array of indices.  Row x holds 0, the least index, once: at column x^-1."""
+    return GroupTable(len(m), _rows(m), m.argmin(axis=1).tolist(), labels, spec_str)
 
 
 def _cyclic_label(i: int, name: str = "a") -> str:
@@ -508,37 +584,37 @@ def _cyclic_label(i: int, name: str = "a") -> str:
 
 def _build_cyclic(spec: Cyclic) -> GroupTable:
     n = spec.n
-    mul = [[(i + j) % n for j in range(n)] for i in range(n)]
-    labels = [_cyclic_label(i) for i in range(n)]
-    return GroupTable(n, mul, _inv_from_mul(mul), labels, spec.canonical())
+    # row i is row 0 rotated by i; slicing shares the int objects
+    row = list(range(n))
+    mul = [row[i:] + row[:i] for i in range(n)]
+    inv = [-i % n for i in range(n)]
+    return GroupTable(n, mul, inv, [_cyclic_label(i) for i in range(n)], spec.canonical())
 
 
-def _word_label(i: int, e: int, xn: str, yn: str) -> str:
-    parts = []
-    if i:
-        parts.append(xn if i == 1 else f"{xn}^{i}")
-    if e:
-        parts.append(yn if e == 1 else f"{yn}^{e}")
-    return "*".join(parts) if parts else "1"
+def _word_labels(mx: int, k: int, xn: str, yn: str) -> list[str]:
+    """Labels x^i*y^e in index order i*k + e, dropping trivial parts."""
+    xs = [""] + [xn if i == 1 else f"{xn}^{i}" for i in range(1, mx)]
+    ys = [""] + [yn if e == 1 else f"{yn}^{e}" for e in range(1, k)]
+    return [f"{x}*{y}" if x and y else x or y or "1" for x in xs for y in ys]
 
 
 def _build_metacyclic(mx: int, k: int, t: int, twist: int, xn: str, yn: str, spec_str: str) -> GroupTable:
     """Words x^i y^e with y x y^-1 = x^t and y^k = x^twist; index is i*k + e."""
     n = mx * k
-    tpow = [pow(t, e, mx) for e in range(k)]
-    mul = [[0] * n for _ in range(n)]
-    for i in range(mx):
-        for e in range(k):
-            row = mul[i * k + e]
-            te = tpow[e]
-            for j in range(mx):
-                lead = i + j * te
-                for f in range(k):
-                    s = e + f
-                    i2 = (lead + twist * (s // k)) % mx
-                    row[j * k + f] = i2 * k + (s % k)
-    labels = [_word_label(i, e, xn, yn) for i in range(mx) for e in range(k)]
-    return GroupTable(n, mul, _inv_from_mul(mul), labels, spec_str)
+    labels = _word_labels(mx, k, xn, yn)
+    # axes (i, e, j, f): x^i y^e * x^j y^f = x^(i + j t^e + twist [e + f >= k]) y^((e + f) mod k)
+    i = np.arange(mx, dtype=np.int64)[:, None, None, None]
+    j = np.arange(mx, dtype=np.int64)[None, None, :, None]
+    e = np.arange(k, dtype=np.int64)[None, :, None, None]
+    f = np.arange(k, dtype=np.int64)[None, None, None, :]
+    tpow = np.array([pow(t, v, mx) for v in range(k)], dtype=np.int64)[e]
+    s = e + f
+    # only the last sum spans all four axes; the rest runs in place on it
+    m = i + (j * tpow + twist * (s // k))
+    m %= mx
+    m *= k
+    m += s % k
+    return _from_array(m.reshape(n, n), labels, spec_str)
 
 
 def _build_dihedral(spec: Dihedral) -> GroupTable:
@@ -591,7 +667,8 @@ def _perm_parity(p: tuple[int, ...]) -> int:
     return parity
 
 
-def _cycles_text(p: tuple[int, ...]) -> str:
+def _cycles_text(p: tuple[int, ...], points: Sequence[int]) -> str:
+    """p's cycles, 1-based, where p permutes 0..len(p)-1 standing for the given points."""
     out = []
     seen = [False] * len(p)
     for s in range(len(p)):
@@ -602,37 +679,61 @@ def _cycles_text(p: tuple[int, ...]) -> str:
         v = s
         while not seen[v]:
             seen[v] = True
-            cyc.append(str(v + 1))
+            cyc.append(str(points[v] + 1))
             v = p[v]
         out.append("(" + ",".join(cyc) + ")")
     return "".join(out) if out else "()"
 
 
-def _cycle_label(p: tuple[int, ...]) -> str:
-    txt = _cycles_text(p)
+def _cycle_label(p: tuple[int, ...], points: Sequence[int]) -> str:
+    txt = _cycles_text(p, points)
     return txt.replace(",", " ")
 
 
-def _table_from_perms(perms: list[tuple[int, ...]], spec_str: str) -> GroupTable:
-    index = {p: i for i, p in enumerate(perms)}
+def _table_from_perms(perms: list[tuple[int, ...]], points: Sequence[int], spec_str: str) -> GroupTable:
+    """Cayley table of a list of permutations closed under the product p*q, which applies p first.
+
+    p*q sends v to q[p[v]].  Each element and each product gets a key
+    numbering its distinct images on the points read so far; after the
+    last point the keys of the elements are distinct and index them.  A
+    point that splits no key is skipped: on the elements, and so on the
+    products, which are elements, its image follows from the others.
+    """
     n = len(perms)
-    mul = [[index[_perm_mul(p, q)] for q in perms] for p in perms]
-    labels = [_cycle_label(p) for p in perms]
-    return GroupTable(n, mul, _inv_from_mul(mul), labels, spec_str)
+    p = np.asarray(perms, dtype=np.int64).reshape(n, -1)
+    key = np.zeros(n, dtype=np.int64)
+    prod_key = np.zeros((n, n), dtype=np.int64)
+    size = 1
+    for col in p.T:
+        if size == n:
+            break
+        ref = key * len(col) + col
+        srt = np.sort(ref)
+        uniq = srt[np.concatenate(([True], srt[1:] != srt[:-1]))]
+        if len(uniq) == size:
+            continue
+        size = len(uniq)
+        key = np.searchsorted(uniq, ref)
+        # p[y, col[x]] is the image under x*y, at [x, y] after the transpose
+        prod_key = np.searchsorted(uniq, prod_key * len(col) + p[:, col].T)
+    index = np.empty(n, dtype=np.int64)
+    index[key] = np.arange(n)
+    labels = [_cycle_label(q, points) for q in perms]
+    return _from_array(index[prod_key], labels, spec_str)
 
 
 def _build_symmetric(spec: Symmetric) -> GroupTable:
     perms = [tuple(p) for p in itertools.permutations(range(spec.n))]
-    return _table_from_perms(perms, spec.canonical())
+    return _table_from_perms(perms, range(spec.n), spec.canonical())
 
 
 def _build_alternating(spec: Alternating) -> GroupTable:
     perms = [tuple(p) for p in itertools.permutations(range(spec.n)) if _perm_parity(tuple(p)) == 0]
-    return _table_from_perms(perms, spec.canonical())
+    return _table_from_perms(perms, range(spec.n), spec.canonical())
 
 
 def _build_permgen(spec: PermGenerated, max_order: int) -> GroupTable:
-    identity = tuple(range(spec.degree))
+    identity = tuple(range(len(spec.points)))
     seen = {identity}
     frontier = [identity]
     while frontier:
@@ -648,7 +749,7 @@ def _build_permgen(spec: PermGenerated, max_order: int) -> GroupTable:
                             f"generated permutation group exceeds order cap {max_order}"
                         )
         frontier = nxt
-    return _table_from_perms(sorted(seen), spec.canonical())
+    return _table_from_perms(sorted(seen), spec.points, spec.canonical())
 
 
 def direct_product(g1: GroupTable, g2: GroupTable, max_order: int = DEFAULT_MAX_ORDER) -> GroupTable:
@@ -657,16 +758,10 @@ def direct_product(g1: GroupTable, g2: GroupTable, max_order: int = DEFAULT_MAX_
     n = n1 * n2
     if n > max_order:
         raise OrderCapExceeded(f"product order {n} exceeds cap {max_order}")
-    mul = [[0] * n for _ in range(n)]
-    for a1 in range(n1):
-        r1 = g1.mul[a1]
-        for b1 in range(n2):
-            row = mul[a1 * n2 + b1]
-            r2 = g2.mul[b1]
-            for a2 in range(n1):
-                base = r1[a2] * n2
-                for b2 in range(n2):
-                    row[a2 * n2 + b2] = base + r2[b2]
+    m1 = np.asarray(g1.mul, dtype=np.int64)
+    m2 = np.asarray(g2.mul, dtype=np.int64)
+    # axes (a1, b1, a2, b2): (a1, b1) * (a2, b2) = (a1 a2, b1 b2)
+    mul = _rows((m1[:, None, :, None] * n2 + m2[None, :, None, :]).reshape(n, n))
     inv = [g1.inv[i] * n2 + g2.inv[j] for i in range(n1) for j in range(n2)]
     labels = [f"({g1.labels[i]},{g2.labels[j]})" for i in range(n1) for j in range(n2)]
     return GroupTable(n, mul, inv, labels, f"{g1.spec}x{g2.spec}")

@@ -37,13 +37,17 @@ def _transpose(rows: list[int]) -> list[int]:
 
 def _restrict(rows: list[int], keep: list[int]) -> list[int]:
     pos = {v: k for k, v in enumerate(keep)}
+    kept = 0
+    for j in keep:
+        kept |= 1 << j
     out = []
     for i in keep:
-        row = rows[i]
+        r = rows[i] & kept
         nr = 0
-        for j in keep:
-            if row >> j & 1:
-                nr |= 1 << pos[j]
+        while r:
+            low = r & -r
+            nr |= 1 << pos[low.bit_length() - 1]
+            r ^= low
         out.append(nr)
     return out
 
@@ -96,7 +100,7 @@ def build_poset(g: GroupTable, lat: SubgroupLattice, ccp: ConjClassPoset, kind: 
             top_idx=ccp.top_idx,
         )
     if kind == "C":
-        keep = [i for i, s in enumerate(lat.subs) if subgroup_is_cyclic(g, s)]
+        keep = [i for i, c in enumerate(lat.cyclic) if c]
         pos = {v: k for k, v in enumerate(keep)}
         return PosetView(
             kind=kind,
@@ -108,7 +112,7 @@ def build_poset(g: GroupTable, lat: SubgroupLattice, ccp: ConjClassPoset, kind: 
             top_idx=pos.get(lat.full_idx),
         )
     if kind == "Cbar":
-        keep = [c for c in range(len(ccp.classes)) if subgroup_is_cyclic(g, lat.subs[ccp.rep[c]])]
+        keep = [c for c, r in enumerate(ccp.rep) if lat.cyclic[r]]
         pos = {v: k for k, v in enumerate(keep)}
         orders = [lat.subs[ccp.rep[c]].order for c in keep]
         return PosetView(

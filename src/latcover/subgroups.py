@@ -86,26 +86,9 @@ def _extend(g: GroupTable, elems: list[int], mask: int, gens: list[int], a: int)
 
 def _zuppos(g: GroupTable) -> list[int]:
     """One generator, the least, of each cyclic subgroup of prime-power order."""
-    mul = g.mul
-    orders = g.element_orders
-    seen = bytearray(g.order)
-    out = []
-    for a in range(1, g.order):
-        if seen[a]:
-            continue
-        k = orders[a]
-        ps = primes_of(k)
-        if len(ps) != 1:
-            continue
-        p = ps[0]
-        out.append(a)
-        # a^j generates <a> exactly when p does not divide j
-        x = a
-        for j in range(1, k):
-            if j % p:
-                seen[x] = 1
-            x = mul[x][a]
-    return out
+    orders, least = g.element_orders, g.least_generator
+    prime_power = {k: len(primes_of(k)) == 1 for k in set(orders)}
+    return [a for a in range(1, g.order) if least[a] == a and prime_power[orders[a]]]
 
 
 def conjugate_subgroup(g: GroupTable, sub: Subgroup, x: int) -> Subgroup:
@@ -154,6 +137,17 @@ class SubgroupLattice:
         if not isinstance(elems, Subgroup):
             elems = Subgroup(tuple(elems))
         return self._index[elems.mask]
+
+    @cached_property
+    def cyclic(self) -> list[bool]:
+        """cyclic[i] tells whether subs[i] is cyclic, that is, holds an element of order |subs[i]|."""
+        of_order: dict[int, int] = {}
+        for e, k in enumerate(self.group.element_orders):
+            of_order[k] = of_order.get(k, 0) | 1 << e
+        flags = [False] * len(self.subs)
+        for mask, i in self._index.items():
+            flags[i] = mask & of_order.get(self.subs[i].order, 0) != 0
+        return flags
 
 
 def enumerate_subgroups(g: GroupTable, max_subgroups: int = DEFAULT_MAX_SUBGROUPS) -> SubgroupLattice:

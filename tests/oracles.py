@@ -2,14 +2,16 @@
 
 Everything here trades speed for obviousness: subgroups come from an
 exhaustive subset sweep, poset facts from the raw definitions, table
-associativity from checking every triple, and the abelian, nilpotent and
-solvable flags from sweeps over the table.  Results are cached per spec
-string because several test modules share them.
+associativity from checking every triple, the abelian, nilpotent and
+solvable flags from sweeps over the table, and Cayley tables cell by
+cell in pure Python.  Results are cached per spec string because several
+test modules share them.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -271,3 +273,133 @@ def ordered_cover_pairs(view: PosetView) -> list[tuple[int, int]]:
         for n in ns
         if all(view.le(x, m) or view.le(n, x) for x in range(view.size))
     ]
+
+
+# ---------------------------------------------------------------------------
+# Cayley tables cell by cell; each takes the arguments of the builder of
+# the same name without the python_ prefix in latcover.groups
+
+
+def _python_table(mul: list[list[int]], labels: list[str], spec_str: str) -> GroupTable:
+    return GroupTable(len(mul), mul, [row.index(0) for row in mul], labels, spec_str)
+
+
+def python_build_cyclic(spec) -> GroupTable:
+    n = spec.n
+    mul = [[(i + j) % n for j in range(n)] for i in range(n)]
+    labels = ["1" if i == 0 else "a" if i == 1 else f"a^{i}" for i in range(n)]
+    return _python_table(mul, labels, spec.canonical())
+
+
+def _word_label(i: int, e: int, xn: str, yn: str) -> str:
+    parts = []
+    if i:
+        parts.append(xn if i == 1 else f"{xn}^{i}")
+    if e:
+        parts.append(yn if e == 1 else f"{yn}^{e}")
+    return "*".join(parts) if parts else "1"
+
+
+def python_build_metacyclic(mx: int, k: int, t: int, twist: int, xn: str, yn: str, spec_str: str) -> GroupTable:
+    n = mx * k
+    tpow = [pow(t, e, mx) for e in range(k)]
+    mul = [[0] * n for _ in range(n)]
+    for i in range(mx):
+        for e in range(k):
+            row = mul[i * k + e]
+            te = tpow[e]
+            for j in range(mx):
+                lead = i + j * te
+                for f in range(k):
+                    s = e + f
+                    i2 = (lead + twist * (s // k)) % mx
+                    row[j * k + f] = i2 * k + (s % k)
+    labels = [_word_label(i, e, xn, yn) for i in range(mx) for e in range(k)]
+    return _python_table(mul, labels, spec_str)
+
+
+def _cycle_label(p: tuple[int, ...], points) -> str:
+    out = []
+    seen = [False] * len(p)
+    for s in range(len(p)):
+        if seen[s] or p[s] == s:
+            seen[s] = True
+            continue
+        cyc = []
+        v = s
+        while not seen[v]:
+            seen[v] = True
+            cyc.append(str(points[v] + 1))
+            v = p[v]
+        out.append("(" + " ".join(cyc) + ")")
+    return "".join(out) if out else "()"
+
+
+def python_table_from_perms(perms: list[tuple[int, ...]], points, spec_str: str) -> GroupTable:
+    index = {p: i for i, p in enumerate(perms)}
+    mul = [[index[tuple(q[v] for v in p)] for q in perms] for p in perms]
+    return _python_table(mul, [_cycle_label(p, points) for p in perms], spec_str)
+
+
+def python_direct_product(g1: GroupTable, g2: GroupTable, max_order: int = 512) -> GroupTable:
+    n1, n2 = g1.order, g2.order
+    n = n1 * n2
+    mul = [[0] * n for _ in range(n)]
+    for a1 in range(n1):
+        r1 = g1.mul[a1]
+        for b1 in range(n2):
+            row = mul[a1 * n2 + b1]
+            r2 = g2.mul[b1]
+            for a2 in range(n1):
+                base = r1[a2] * n2
+                for b2 in range(n2):
+                    row[a2 * n2 + b2] = base + r2[b2]
+    inv = [g1.inv[i] * n2 + g2.inv[j] for i in range(n1) for j in range(n2)]
+    labels = [f"({g1.labels[i]},{g2.labels[j]})" for i in range(n1) for j in range(n2)]
+    return GroupTable(n, mul, inv, labels, f"{g1.spec}x{g2.spec}")
+
+
+def full_degree_perm_group(text: str) -> GroupTable:
+    """A perm: spec built on every point 0..degree-1, fixed ones included.
+
+    The generators are composed cycle by cycle from the text and closed
+    breadth first; elements are sorted as full-degree tuples.
+    """
+    _, deg, body = text.split(":")
+    degree = int(deg)
+    gens = []
+    for part in body.split(";"):
+        perm = list(range(degree))
+        for cyc in part.strip("()").split(")(") if part != "()" else []:
+            pts = [int(v) - 1 for v in cyc.split(",")]
+            step = list(range(degree))
+            for a, b in zip(pts, pts[1:] + pts[:1]):
+                step[a] = b
+            perm = [step[v] for v in perm]
+        gens.append(tuple(perm))
+    seen = {tuple(range(degree))}
+    frontier = list(seen)
+    while frontier:
+        new = {tuple(g[v] for v in p) for p in frontier for g in gens} - seen
+        seen |= new
+        frontier = list(new)
+    return python_table_from_perms(sorted(seen), range(degree), text)
+
+
+def element_orders_by_walk(g: GroupTable) -> list[int]:
+    """Every element's order, from a walk of its own powers."""
+    return [element_order(g, i) for i in range(g.order)]
+
+
+def least_generators_by_walk(g: GroupTable) -> list[int]:
+    """For each x, the least x^j with j prime to ord(x), that is, the least generator of <x>."""
+    out = []
+    for x in range(g.order):
+        k = element_order(g, x)
+        best, y = x, x
+        for j in range(2, k):
+            y = g.mul[y][x]
+            if math.gcd(j, k) == 1:
+                best = min(best, y)
+        out.append(best)
+    return out

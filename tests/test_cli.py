@@ -4,6 +4,7 @@ import csv
 import functools
 import io
 import json
+import time
 
 import pytest
 
@@ -71,6 +72,27 @@ def test_analyze_dot_poset_choice(tmp_path, capsys):
 def test_analyze_bad_spec_is_exit_2(capsys):
     assert main(["analyze", "D7"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["C" + "9" * 5000, "perm:" + "9" * 5000 + ":(1,2)", "ZM(7,3," + "9" * 5000 + ")"],
+    ids=["cyclic", "perm-degree", "zm-twist"],
+)
+def test_analyze_integer_too_long_is_exit_2(spec, capsys):
+    # past the interpreter's digit limit for int(), which is not a suite failure
+    assert main(["analyze", spec]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_analyze_perm_cost_follows_the_cycles(capsys):
+    t0 = time.perf_counter()
+    assert main(["analyze", "perm:1000000000:(1,2)"]) == 0
+    assert time.perf_counter() - t0 < 1.0
+    out = capsys.readouterr().out
+    assert "spec: perm:1000000000:(1,2)" in out
+    assert "order: 2" in out
+    assert "cyclic=yes" in out
 
 
 def test_analyze_cap_is_exit_3(capsys):

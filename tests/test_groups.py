@@ -5,6 +5,7 @@ import random
 import pytest
 
 import oracles
+from latcover import groups
 from latcover.errors import OrderCapExceeded, SpecInvalid
 from latcover.groups import (
     DEFAULT_MAX_ORDER,
@@ -17,7 +18,7 @@ from latcover.groups import (
     validate_group,
 )
 from latcover.subgroups import closure
-from latcover.verify import CATALOG
+from latcover.verify import CATALOG, FAMILY_NAMES, _family_specs
 
 
 def test_cyclic_table():
@@ -148,6 +149,11 @@ def test_order_cap_checked_before_building():
         ("ZM(7,3,2)", "ZM(7,3,2)"),
         ("C2xC2xM3^3", "C2xC2xM3^3"),
         ("perm:3:(1,2);(2,3)", "perm:3:(1,2);(2,3)"),
+        ("perm:6:(1,2)(2,3);(4,5,6)(4,6)", "perm:6:(1,3,2);(4,5)"),
+        ("perm:5:(1,2)(1,2);(3,4)", "perm:5:();(3,4)"),
+        ("perm:4:()", "perm:4:()"),
+        ("perm:12:(12,3)", "perm:12:(3,12)"),
+        ("perm:1000000000:(1000000000,1)", "perm:1000000000:(1,1000000000)"),
     ],
 )
 def test_parse_canonical(text, canon):
@@ -311,3 +317,71 @@ def test_validate_reports_inverse():
 
 def test_default_max_order():
     assert DEFAULT_MAX_ORDER == 512
+
+
+WREATH_2_2_2 = "perm:8:(1,2);(1,3)(2,4);(1,5)(2,6)(3,7)(4,8)"
+WREATH_3_3 = "perm:9:(1,2,3);(1,4,7)(2,5,8)(3,6,9)"
+BUILDER_SPECS = [
+    *(spec for family in FAMILY_NAMES for spec in _family_specs(family, 128)),
+    "C512",
+    "C500",
+    "M2^8",
+    "Q256",
+    "D512",
+    "SD256",
+    "S4xC2xC2",
+    "C2xC2xC2xD8",
+    "C3xC5xC4",
+    WREATH_2_2_2,
+    WREATH_3_3,
+]
+
+
+def _assert_same_table(g: GroupTable, h: GroupTable) -> None:
+    assert (g.order, g.spec, g.inv, g.labels) == (h.order, h.spec, h.inv, h.labels)
+    assert g.mul == h.mul
+    assert all(type(v) is int for row in g.mul for v in row)
+    assert all(type(v) is int for v in g.inv)
+
+
+@pytest.mark.parametrize("spec", BUILDER_SPECS)
+def test_builders_match_python_tables(spec, monkeypatch):
+    g = build_group(spec)
+    monkeypatch.setattr(groups, "_build_cyclic", oracles.python_build_cyclic)
+    monkeypatch.setattr(groups, "_build_metacyclic", oracles.python_build_metacyclic)
+    monkeypatch.setattr(groups, "_table_from_perms", oracles.python_table_from_perms)
+    monkeypatch.setattr(groups, "direct_product", oracles.python_direct_product)
+    _assert_same_table(g, build_group(spec))
+
+
+@pytest.mark.parametrize("loop_first", [True, False])
+def test_direct_product_matches_python_on_loop(loop_first):
+    loop = GroupTable(5, LOOP5, [0, 1, 2, 3, 4], ["e", "a", "b", "c", "d"], "loop5")
+    pair = (loop, build_group("C16")) if loop_first else (build_group("C16"), loop)
+    _assert_same_table(direct_product(*pair), oracles.python_direct_product(*pair))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        WREATH_2_2_2,
+        WREATH_3_3,
+        "perm:8:(1,2,3,4,5,6,7);(1,8)(2,7)(3,4)(5,6)",
+        "perm:12:(3,5)(7,9);(3,7)(5,9)(11,12)",
+        "perm:7:(1,2)(2,3);(5,6,7)(5,7)",
+        "perm:5:();(3,4)",
+        "perm:4:()",
+    ],
+)
+def test_perm_tables_match_full_degree_build(spec):
+    # fixed points are dropped, and that changes no cell, label or element order
+    g = build_group(spec)
+    h = oracles.full_degree_perm_group(spec)
+    assert (g.mul, g.inv, g.labels) == (h.mul, h.inv, h.labels)
+
+
+@pytest.mark.parametrize("spec", BUILDER_SPECS)
+def test_element_orders_match_walks(spec):
+    g = build_group(spec)
+    assert g.element_orders == oracles.element_orders_by_walk(g)
+    assert g.least_generator == oracles.least_generators_by_walk(g)

@@ -14,7 +14,7 @@ from latcover.posets import (
     subgroup_is_cyclic,
     two_interval_cover,
 )
-from latcover.verify import analyze_spec
+from latcover.verify import CATALOG, analyze_spec
 
 MIDSIZE = ("S3", "C12", "D8", "Q8", "Q16", "A4", "D12", "SD16", "M3^3", "C2xC2")
 
@@ -61,6 +61,15 @@ def test_subgroup_is_cyclic():
     # trivial + 3 C2 + 4 C3 cyclic; V4 and A4 are not
     assert flags.count(True) == 8
     assert flags[-1] is False
+
+
+@pytest.mark.parametrize("spec", [*CATALOG, "C2xC2xC2xD8", "S4xC2xC2", "C3xC5xC4", "Q64"])
+def test_lattice_cyclic_flags_match_single_checks(spec):
+    a = analyze_spec(spec)
+    flags = [subgroup_is_cyclic(a.group, s) for s in a.lattice.subs]
+    assert a.lattice.cyclic == flags
+    assert a.posets["C"].payload == [i for i, f in enumerate(flags) if f]
+    assert a.posets["Cbar"].payload == [c for c, r in enumerate(a.classes.rep) if flags[r]]
 
 
 def test_build_poset_rejects_unknown_kind():
