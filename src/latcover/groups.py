@@ -701,13 +701,14 @@ def _table_from_perms(perms: list[tuple[int, ...]], points: Sequence[int], spec_
     """
     n = len(perms)
     p = np.asarray(perms, dtype=np.int64).reshape(n, -1)
+    d = p.shape[1]
     key = np.zeros(n, dtype=np.int64)
     prod_key = np.zeros((n, n), dtype=np.int64)
     size = 1
     for col in p.T:
         if size == n:
             break
-        ref = key * len(col) + col
+        ref = key * d + col
         srt = np.sort(ref)
         uniq = srt[np.concatenate(([True], srt[1:] != srt[:-1]))]
         if len(uniq) == size:
@@ -715,7 +716,7 @@ def _table_from_perms(perms: list[tuple[int, ...]], points: Sequence[int], spec_
         size = len(uniq)
         key = np.searchsorted(uniq, ref)
         # p[y, col[x]] is the image under x*y, at [x, y] after the transpose
-        prod_key = np.searchsorted(uniq, prod_key * len(col) + p[:, col].T)
+        prod_key = np.searchsorted(uniq, prod_key * d + p[:, col].T)
     index = np.empty(n, dtype=np.int64)
     index[key] = np.arange(n)
     labels = [_cycle_label(q, points) for q in perms]

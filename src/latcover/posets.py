@@ -37,17 +37,13 @@ def _transpose(rows: list[int]) -> list[int]:
 
 def _restrict(rows: list[int], keep: list[int]) -> list[int]:
     pos = {v: k for k, v in enumerate(keep)}
-    kept = 0
-    for j in keep:
-        kept |= 1 << j
     out = []
     for i in keep:
-        r = rows[i] & kept
+        row = rows[i]
         nr = 0
-        while r:
-            low = r & -r
-            nr |= 1 << pos[low.bit_length() - 1]
-            r ^= low
+        for j in keep:
+            if row >> j & 1:
+                nr |= 1 << pos[j]
         out.append(nr)
     return out
 
@@ -77,7 +73,7 @@ class PosetView:
         return _transpose(self.leq)
 
 
-def build_poset(g: GroupTable, lat: SubgroupLattice, ccp: ConjClassPoset, kind: str) -> PosetView:
+def build_poset(lat: SubgroupLattice, ccp: ConjClassPoset, kind: str) -> PosetView:
     if kind == "L":
         return PosetView(
             kind=kind,

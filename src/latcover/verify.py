@@ -118,7 +118,7 @@ def _analyze(spec: str, max_order: int, max_subgroups: int) -> Analysis:
     g = build_group(parsed, max_order)
     lat = enumerate_subgroups(g, max_subgroups)
     ccp = conjugacy_classes(lat)
-    posets = {kind: build_poset(g, lat, ccp, kind) for kind in KINDS}
+    posets = {kind: build_poset(lat, ccp, kind) for kind in KINDS}
     return Analysis(parsed.canonical(), g, lat, ccp, posets, build_profile(g, lat, ccp))
 
 

@@ -368,6 +368,7 @@ def test_direct_product_matches_python_on_loop(loop_first):
         WREATH_3_3,
         "perm:8:(1,2,3,4,5,6,7);(1,8)(2,7)(3,4)(5,6)",
         "perm:12:(3,5)(7,9);(3,7)(5,9)(11,12)",
+        "perm:12:(1,3)(4,5)(6,7)(8,9);(2,10);(11,12)",
         "perm:7:(1,2)(2,3);(5,6,7)(5,7)",
         "perm:5:();(3,4)",
         "perm:4:()",
@@ -378,6 +379,38 @@ def test_perm_tables_match_full_degree_build(spec):
     g = build_group(spec)
     h = oracles.full_degree_perm_group(spec)
     assert (g.mul, g.inv, g.labels) == (h.mul, h.inv, h.labels)
+
+
+def _sparse_perm_spec(rng: random.Random) -> str:
+    """A perm: spec whose group moves more points than it has elements."""
+    while True:
+        degree = rng.randint(8, 20)
+        gens = []
+        for _ in range(rng.randint(2, 3)):
+            pts = rng.sample(range(1, degree + 1), rng.randint(2, degree))
+            cycles, k = [], 0
+            while len(pts) - k >= 2:
+                size = min(rng.choice((2, 2, 3)), len(pts) - k)
+                cycles.append("(" + ",".join(map(str, pts[k : k + size])) + ")")
+                k += size
+            gens.append("".join(cycles))
+        spec = f"perm:{degree}:" + ";".join(gens)
+        try:
+            g = build_group(spec, max_order=64)
+        except OrderCapExceeded:
+            continue
+        if len(parse_spec(spec).points) > g.order:
+            return spec
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_sparse_perm_tables_match_full_degree_build(seed):
+    # keys mix element numbers with point images; these groups have more
+    # points than elements, so the images, not the order, bound the base
+    spec = _sparse_perm_spec(random.Random(seed))
+    g = build_group(spec)
+    h = oracles.full_degree_perm_group(spec)
+    assert (g.mul, g.inv, g.labels) == (h.mul, h.inv, h.labels), spec
 
 
 @pytest.mark.parametrize("spec", BUILDER_SPECS)

@@ -75,7 +75,7 @@ def test_lattice_cyclic_flags_match_single_checks(spec):
 def test_build_poset_rejects_unknown_kind():
     a = analyze_spec("S3")
     with pytest.raises(ValueError):
-        build_poset(a.group, a.lattice, a.classes, "X")
+        build_poset(a.lattice, a.classes, "X")
 
 
 def test_breaking_point_goldens():
