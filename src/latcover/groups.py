@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property, reduce
 
@@ -228,11 +228,32 @@ class GroupSpec:
         raise NotImplementedError
 
     def expected_order(self) -> int | None:
-        """Order implied by the parameters, or None when only known after closure."""
+        """Order implied by the parameters, or None when only known after closure.
+
+        An order of at least _ORDER_BOUND may come back as any value
+        that is itself at least that bound.
+        """
         raise NotImplementedError
 
     def canonical(self) -> str:
         raise NotImplementedError
+
+
+# Orders are multiplied out only up to this bound.  Anything larger is
+# past every order cap, and has more digits than Python converts to text
+# by default, so messages show it as the bound.
+_ORDER_DIGITS = 4300
+_ORDER_BOUND = 10**_ORDER_DIGITS
+
+
+def _bounded_product(factors: Iterable[int]) -> int:
+    """Product of the factors, or the first partial product >= _ORDER_BOUND."""
+    out = 1
+    for f in factors:
+        out *= f
+        if out >= _ORDER_BOUND:
+            break
+    return out
 
 
 def _is_pow2(v: int) -> bool:
@@ -314,7 +335,7 @@ class ModularMaxCyclic(GroupSpec):
             raise SpecInvalid(f"M{self.p}^n needs n >= 3, got n={self.n}")
 
     def expected_order(self) -> int:
-        return self.p**self.n
+        return _bounded_product(itertools.repeat(self.p, self.n))
 
     def canonical(self) -> str:
         return f"M{self.p}^{self.n}"
@@ -344,7 +365,7 @@ class Symmetric(GroupSpec):
             raise SpecInvalid(f"symmetric degree must be >= 1, got {self.n}")
 
     def expected_order(self) -> int:
-        return math.factorial(self.n)
+        return _bounded_product(range(2, self.n + 1))
 
     def canonical(self) -> str:
         return f"S{self.n}"
@@ -359,7 +380,7 @@ class Alternating(GroupSpec):
             raise SpecInvalid(f"alternating degree must be >= 1, got {self.n}")
 
     def expected_order(self) -> int:
-        return math.factorial(self.n) // 2 if self.n >= 2 else 1
+        return _bounded_product(range(3, self.n + 1))  # n!/2, and 1 for n < 3
 
     def canonical(self) -> str:
         return f"A{self.n}"
@@ -775,7 +796,8 @@ def build_group(spec: GroupSpec | str, max_order: int = DEFAULT_MAX_ORDER) -> Gr
     spec.validate()
     expected = spec.expected_order()
     if expected is not None and expected > max_order:
-        raise OrderCapExceeded(f"{spec.canonical()} has order {expected} > cap {max_order}")
+        shown = expected if expected < _ORDER_BOUND else f">= 10^{_ORDER_DIGITS}"
+        raise OrderCapExceeded(f"{spec.canonical()} has order {shown} > cap {max_order}")
     if isinstance(spec, Cyclic):
         g = _build_cyclic(spec)
     elif isinstance(spec, Dihedral):

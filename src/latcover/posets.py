@@ -5,6 +5,13 @@ of subgroups), C (cyclic subgroups), Cbar (classes of cyclic
 subgroups).  Order relations are bitrows: bit j of leq[i] means node i
 lies below node j.  For C and Cbar the whole group is absent unless it
 is itself cyclic, so those views may have no top.
+
+Every view lists its nodes by ascending order (subgroups by (order,
+elements), classes by their least member), and a node lies below only
+nodes of larger order or itself.  The node order is therefore a linear
+extension: leq[i] has no bit below i.  The queries rely on this, so
+that they read only leq; only the cover search builds the transpose
+`down`, and only for the view it searches.
 """
 
 from __future__ import annotations
@@ -37,13 +44,17 @@ def _transpose(rows: list[int]) -> list[int]:
 
 def _restrict(rows: list[int], keep: list[int]) -> list[int]:
     pos = {v: k for k, v in enumerate(keep)}
+    kept = 0
+    for i in keep:
+        kept |= 1 << i
     out = []
     for i in keep:
-        row = rows[i]
+        r = rows[i] & kept
         nr = 0
-        for j in keep:
-            if row >> j & 1:
-                nr |= 1 << pos[j]
+        while r:
+            j = (r & -r).bit_length() - 1
+            nr |= 1 << pos[j]
+            r &= r - 1
         out.append(nr)
     return out
 
@@ -69,7 +80,11 @@ class PosetView:
 
     @cached_property
     def down(self) -> list[int]:
-        """Transpose of leq: bit i of down[j] means i lies below j."""
+        """Transpose of leq: bit i of down[j] means i lies below j.
+
+        Built on first use, one step per containment pair; of the
+        queries, only two_interval_cover reads it.
+        """
         return _transpose(self.leq)
 
 
@@ -128,16 +143,19 @@ def breaking_points(p: PosetView) -> list[int]:
 
     In a view without a top, maximal nodes are excluded as well;
     anything below the missing whole group would not separate it.
+    Every node after x must lie above x, which one shift of leq[x]
+    tells; only the few x that pass are checked against the nodes
+    before them, which must lie below x.
     """
+    leq = p.leq
     full = (1 << p.size) - 1
-    down = p.down
     out = []
     for x in range(p.size):
         if x == p.bottom_idx or x == p.top_idx:
             continue
-        if p.top_idx is None and p.leq[x] == 1 << x:
+        if p.top_idx is None and leq[x] == 1 << x:
             continue
-        if p.leq[x] | down[x] == full:
+        if leq[x] >> x == full >> x and all(leq[y] >> x & 1 for y in range(x)):
             out.append(x)
     return out
 
@@ -201,26 +219,31 @@ def interval(p: PosetView, a: int, b: int) -> list[int]:
     """All nodes x with a <= x <= b, ascending by node index."""
     if not p.le(a, b):
         raise NotComparable(f"nodes {a} and {b} are not comparable in {p.kind}")
-    mask = p.leq[a] & p.down[b]
+    leq = p.leq
+    above = leq[a] & ((2 << b) - 1)
     out = []
-    while mask:
-        j = (mask & -mask).bit_length() - 1
-        out.append(j)
-        mask &= mask - 1
+    while above:
+        x = (above & -above).bit_length() - 1
+        if leq[x] >> b & 1:
+            out.append(x)
+        above &= above - 1
     return out
 
 
 def hasse_edges(p: PosetView) -> list[tuple[int, int]]:
-    """Covering pairs (x, y): x < y with nothing strictly between."""
-    down = p.down
+    """Covering pairs (x, y): x < y with nothing strictly between.
+
+    The least node strictly above x is a cover of x, as anything between
+    would come before it.  Dropping everything above that cover leaves
+    the least remaining node as the next cover, so each step emits one
+    edge.  Edges come sorted, by x and then by y.
+    """
+    leq = p.leq
     edges = []
     for x in range(p.size):
-        up = p.leq[x] & ~(1 << x)
-        r = up
-        while r:
-            y = (r & -r).bit_length() - 1
-            r &= r - 1
-            between = up & down[y] & ~(1 << y)
-            if between == 0:
-                edges.append((x, y))
+        rem = leq[x] & ~(1 << x)
+        while rem:
+            y = (rem & -rem).bit_length() - 1
+            edges.append((x, y))
+            rem &= ~leq[y]
     return edges

@@ -236,6 +236,42 @@ def brute_hasse(view: PosetView) -> list[tuple[int, int]]:
     return edges
 
 
+def down_breaking_points(view: PosetView) -> list[int]:
+    """breaking_points through down: x qualifies when leq[x] | down[x] is every node."""
+    full = (1 << view.size) - 1
+    down = view.down
+    out = []
+    for x in range(view.size):
+        if x == view.bottom_idx or x == view.top_idx:
+            continue
+        if view.top_idx is None and view.leq[x] == 1 << x:
+            continue
+        if view.leq[x] | down[x] == full:
+            out.append(x)
+    return out
+
+
+def down_hasse_edges(view: PosetView) -> list[tuple[int, int]]:
+    """hasse_edges with one between-test per containment pair, through down."""
+    down = view.down
+    edges = []
+    for x in range(view.size):
+        up = view.leq[x] & ~(1 << x)
+        r = up
+        while r:
+            y = (r & -r).bit_length() - 1
+            r &= r - 1
+            if up & down[y] & ~(1 << y) == 0:
+                edges.append((x, y))
+    return edges
+
+
+def down_interval(view: PosetView, a: int, b: int) -> list[int]:
+    """interval as leq[a] & down[b], without its comparability check."""
+    mask = view.leq[a] & view.down[b]
+    return [j for j in range(view.size) if mask >> j & 1]
+
+
 def reachability(size: int, edges: list[tuple[int, int]]) -> list[int]:
     """Reflexive-transitive closure of an edge list, as leq bitrows."""
     adj: list[list[int]] = [[] for _ in range(size)]

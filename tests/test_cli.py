@@ -102,6 +102,27 @@ def test_analyze_cap_is_exit_3(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "spec,message",
+    [
+        ("S6", "S6 has order 720 > cap 512"),
+        ("A7", "A7 has order 2520 > cap 512"),
+        ("C2xS7", "C2xS7 has order 10080 > cap 512"),
+        # n! past the int-to-str limit is neither computed nor printed
+        ("S100000", "S100000 has order >= 10^4300 > cap 512"),
+        ("A3000000", "A3000000 has order >= 10^4300 > cap 512"),
+        ("A1700", "A1700 has order >= 10^4300 > cap 512"),
+        ("M2^1000000000", "M2^1000000000 has order >= 10^4300 > cap 512"),
+        ("C2xS100000", "C2xS100000 has order >= 10^4300 > cap 512"),
+    ],
+)
+def test_analyze_order_cap_message_is_fast(spec, message, capsys):
+    t0 = time.perf_counter()
+    assert main(["analyze", spec]) == 3
+    assert time.perf_counter() - t0 < 1.0
+    assert capsys.readouterr().err.strip() == f"error: {message}"
+
+
 def test_analyze_subgroup_cap_is_exit_3(capsys):
     assert main(["analyze", "D16", "--max-subgroups", "5"]) == 3
     capsys.readouterr()

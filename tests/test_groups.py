@@ -1,5 +1,6 @@
 """Group construction: spec-string parsing, the builders, and table validation."""
 
+import math
 import random
 
 import pytest
@@ -165,6 +166,25 @@ def test_parse_expected_orders():
     assert parse_spec("ZM(7,3,2)").expected_order() == 21
     assert parse_spec("Q8xC3").expected_order() == 24
     assert parse_spec("perm:3:(1,2)").expected_order() is None
+
+
+def test_expected_orders_exact_below_bound():
+    bound = groups._ORDER_BOUND
+    for n in range(1, 2000):
+        want = math.factorial(n)
+        got_s = parse_spec(f"S{n}").expected_order()
+        got_a = parse_spec(f"A{n}").expected_order()
+        if want < bound:
+            assert got_s == want
+        else:
+            assert got_s >= bound
+        if want // 2 < bound:
+            assert got_a == max(1, want // 2)
+        else:
+            assert got_a >= bound
+    assert parse_spec("M3^7").expected_order() == 3**7
+    assert parse_spec("M2^14284").expected_order() == 2**14284
+    assert parse_spec("M2^100000").expected_order() >= bound
 
 
 def test_parse_product_factors():

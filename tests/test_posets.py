@@ -1,5 +1,8 @@
 """The four poset views, breaking points, and two-interval covers."""
 
+import random
+
+import networkx as nx
 import pytest
 
 import oracles
@@ -17,6 +20,8 @@ from latcover.posets import (
 from latcover.verify import CATALOG, analyze_spec
 
 MIDSIZE = ("S3", "C12", "D8", "Q8", "Q16", "A4", "D12", "SD16", "M3^3", "C2xC2")
+# the catalog plus the lattice-heavy groups of the benchmark's lattices workload
+LEQ_SPECS = (*CATALOG, "C2xC2xC2xC2xC2xC2", "C2xC2xC2xD8", "S4xC2xC2")
 
 
 def test_kinds_constant():
@@ -207,3 +212,46 @@ def test_down_is_transpose():
     for x in range(view.size):
         for y in range(view.size):
             assert bool(view.down[y] >> x & 1) == view.le(x, y)
+
+
+@pytest.mark.parametrize("spec", LEQ_SPECS)
+def test_views_are_linear_extensions(spec):
+    # the queries read leq only, relying on no node lying below an earlier one
+    for kind in KINDS:
+        view = analyze_spec(spec).posets[kind]
+        assert all(row & ((1 << i) - 1) == 0 for i, row in enumerate(view.leq)), kind
+
+
+@pytest.mark.parametrize("spec", LEQ_SPECS)
+def test_leq_queries_match_down_oracles(spec):
+    for kind in KINDS:
+        view = analyze_spec(spec).posets[kind]
+        assert hasse_edges(view) == oracles.down_hasse_edges(view), kind
+        assert breaking_points(view) == oracles.down_breaking_points(view), kind
+
+
+@pytest.mark.parametrize("spec", LEQ_SPECS)
+def test_interval_matches_down_oracle(spec):
+    rng = random.Random(spec)
+    for kind in KINDS:
+        view = analyze_spec(spec).posets[kind]
+        pairs = []
+        for a, row in enumerate(view.leq):
+            while row:
+                pairs.append((a, (row & -row).bit_length() - 1))
+                row &= row - 1
+        if len(pairs) > 300:
+            pairs = rng.sample(pairs, 300)
+        pairs.append((view.bottom_idx, view.top_idx if view.top_idx is not None else view.size - 1))
+        for a, b in pairs:
+            assert interval(view, a, b) == oracles.down_interval(view, a, b), (kind, a, b)
+
+
+@pytest.mark.parametrize("spec", MIDSIZE)
+@pytest.mark.parametrize("kind", KINDS)
+def test_hasse_matches_networkx_transitive_reduction(spec, kind):
+    view = analyze_spec(spec).posets[kind]
+    dag = nx.DiGraph()
+    dag.add_nodes_from(range(view.size))
+    dag.add_edges_from((x, y) for x in range(view.size) for y in range(view.size) if x != y and view.le(x, y))
+    assert hasse_edges(view) == sorted(nx.transitive_reduction(dag).edges())
