@@ -109,17 +109,20 @@ def element_order(g: GroupTable, i: int) -> int:
     return k
 
 
-def _right_generators(mul: list[list[int]]) -> list[int] | None:
+def _right_generators(mul: list[list[int]] | np.ndarray) -> list[int] | None:
     """Greedy generators, in index order, whose right-multiplication closure from 0 is everything.
 
-    In a group each generator at least doubles the closure, so more than
-    n.bit_length() of them means the table is not a group: None.
+    mul is the table as rows or as an index array; only the column of
+    each generator is read, as a list.  In a group each generator at
+    least doubles the closure, so more than n.bit_length() of them means
+    the table is not a group: None.
     """
     n = len(mul)
     reached = [False] * n
     reached[0] = True
     elems = [0]
     gens: list[int] = []
+    cols: list[list[int]] = []
     for a in range(1, n):
         if len(elems) == n:
             break
@@ -128,18 +131,20 @@ def _right_generators(mul: list[list[int]]) -> list[int] | None:
         if len(gens) == n.bit_length():
             return None
         gens.append(a)
+        col = mul[:, a].tolist() if isinstance(mul, np.ndarray) else [row[a] for row in mul]
+        cols.append(col)
         # elements already reached are closed under the older generators
         done = len(elems)
         for i in range(done):
-            y = mul[elems[i]][a]
+            y = col[elems[i]]
             if not reached[y]:
                 reached[y] = True
                 elems.append(y)
         i = done
         while i < len(elems):
-            row = mul[elems[i]]
-            for s in gens:
-                y = row[s]
+            x = elems[i]
+            for c in cols:
+                y = c[x]
                 if not reached[y]:
                     reached[y] = True
                     elems.append(y)
@@ -165,47 +170,65 @@ def validate_group(g: GroupTable) -> ValidationResult:
     n = g.order
     if n < 1 or len(g.mul) != n or any(len(row) != n for row in g.mul):
         return ValidationResult(False, "shape", (n,))
-    if len(g.inv) != n or len(g.labels) != n:
-        return ValidationResult(False, "shape", (n,))
-    m = np.asarray(g.mul, dtype=np.int64)
+    return _validate_table(np.asarray(g.mul, dtype=np.int64), g.inv, g.labels)[0]
+
+
+def _validate_table(
+    m: np.ndarray, inv: Sequence[int], labels: Sequence[str]
+) -> tuple[ValidationResult, list[int] | None]:
+    """validate_group on the table as an n x n index array, and the generators Light's test used.
+
+    A table with entries in range, identity 0, the given two-sided
+    inverses and Light's test passing is associative, so it is a group,
+    and a group's table is a latin square.  That is tried first, with no
+    sort.  Only a table that fails it goes through the checks in their
+    reporting order, to find its first violation.
+    """
+    n = len(m)
+    if len(inv) != n or len(labels) != n:
+        return ValidationResult(False, "shape", (n,)), None
     if m.min() < 0 or m.max() >= n:
         bad = np.argwhere((m < 0) | (m >= n))[0]
-        return ValidationResult(False, "latin", (int(bad[0]), int(bad[1])))
+        return ValidationResult(False, "latin", (int(bad[0]), int(bad[1]))), None
+    # the narrowest type that holds every index: the gathers below move a quarter of the bytes or less
+    m = m.astype(np.min_scalar_type(n - 1))
     ar = np.arange(n)
+    zeros = np.zeros(n, dtype=np.int64)
+    iv = np.asarray(inv, dtype=np.int64)
+    identity = np.array_equal(m[0], ar) and np.array_equal(m[:, 0], ar)
+    inverse = not (iv.min() < 0 or iv.max() >= n) and (
+        np.array_equal(m[ar, iv], zeros) and np.array_equal(m[iv, ar], zeros)
+    )
+    gens = _right_generators(m)
+    if identity and inverse and gens is not None and all(np.array_equal(m[m[:, a]], m[:, m[a]]) for a in gens):
+        return ValidationResult(True), gens
     if not np.array_equal(np.sort(m, axis=1), np.broadcast_to(ar, (n, n))):
-        for i in range(n):
+        for i, row in enumerate(m.tolist()):
             seen: dict[int, int] = {}
-            for j, v in enumerate(g.mul[i]):
+            for j, v in enumerate(row):
                 if v in seen:
-                    return ValidationResult(False, "latin", (i, seen[v], j))
+                    return ValidationResult(False, "latin", (i, seen[v], j)), gens
                 seen[v] = j
     if not np.array_equal(np.sort(m, axis=0), np.broadcast_to(ar[:, None], (n, n))):
-        for j in range(n):
+        for j, col in enumerate(m.T.tolist()):
             seen = {}
-            for i in range(n):
-                v = g.mul[i][j]
+            for i, v in enumerate(col):
                 if v in seen:
-                    return ValidationResult(False, "latin", (seen[v], i, j))
+                    return ValidationResult(False, "latin", (seen[v], i, j)), gens
                 seen[v] = i
-    if not (np.array_equal(m[0], ar) and np.array_equal(m[:, 0], ar)):
+    if not identity:
+        first, left = m[0].tolist(), m[:, 0].tolist()
         for i in range(n):
-            if g.mul[0][i] != i:
-                return ValidationResult(False, "identity", (0, i, g.mul[0][i]))
-            if g.mul[i][0] != i:
-                return ValidationResult(False, "identity", (i, 0, g.mul[i][0]))
-    iv = np.asarray(g.inv, dtype=np.int64)
-    if iv.min() < 0 or iv.max() >= n or not (
-        np.array_equal(m[ar, iv], np.zeros(n, dtype=np.int64))
-        and np.array_equal(m[iv, ar], np.zeros(n, dtype=np.int64))
-    ):
+            if first[i] != i:
+                return ValidationResult(False, "identity", (0, i, first[i])), gens
+            if left[i] != i:
+                return ValidationResult(False, "identity", (i, 0, left[i])), gens
+    if not inverse:
         for i in range(n):
-            j = g.inv[i]
-            if not 0 <= j < n or g.mul[i][j] != 0 or g.mul[j][i] != 0:
-                return ValidationResult(False, "inverse", (i, j, g.mul[i][j] if 0 <= j < n else -1))
-    gens = g.generators
-    if gens is not None and all(np.array_equal(m[m[:, a]], m[:, m[a]]) for a in gens):
-        return ValidationResult(True)
-    # full O(n^3) sweep, chunked so peak memory stays modest
+            j = inv[i]
+            if not 0 <= j < n or m[i, j] != 0 or m[j, i] != 0:
+                return ValidationResult(False, "inverse", (i, j, int(m[i, j]) if 0 <= j < n else -1)), gens
+    # Light's test did not prove it: the full O(n^3) sweep, chunked so peak memory stays modest
     block = max(1, (1 << 21) // max(1, n * n))
     for s in range(0, n, block):
         rows = m[s : s + block]
@@ -213,8 +236,8 @@ def validate_group(g: GroupTable) -> ValidationResult:
         right = rows[:, m]      # right[b, j, k] = m[s+b, m[j, k]]
         if not np.array_equal(left, right):
             b, j, k = np.argwhere(left != right)[0]
-            return ValidationResult(False, "associativity", (s + int(b), int(j), int(k)))
-    return ValidationResult(True)
+            return ValidationResult(False, "associativity", (s + int(b), int(j), int(k))), gens
+    return ValidationResult(True), gens
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +299,36 @@ def primes_of(g: GroupTable | int) -> list[int]:
     return out
 
 
+# Miller-Rabin with the prime bases up to 41 has no strong pseudoprime
+# below this bound (Sorenson and Webster, 2017), so it is exact there.
+_PRIME_TEST_BOUND = 3317044064679887385961981
+_PRIME_TEST_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _is_prime(n: int) -> bool:
+    """Whether n is prime, for n below _PRIME_TEST_BOUND, in time polynomial in its digits."""
+    if n < 2:
+        return False
+    for p in _PRIME_TEST_BASES:
+        if n % p == 0:
+            return n == p
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _PRIME_TEST_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class Cyclic(GroupSpec):
     n: int
@@ -327,7 +380,11 @@ class ModularMaxCyclic(GroupSpec):
     n: int
 
     def validate(self) -> None:
-        if primes_of(self.p) != [self.p]:
+        if self.p >= _PRIME_TEST_BOUND:
+            raise SpecInvalid(
+                f"modular family base {self.p} is too large: primality is decided only below {_PRIME_TEST_BOUND}"
+            )
+        if not _is_prime(self.p):
             raise SpecInvalid(f"modular family needs a prime base, got {self.p}")
         if self.p == 2 and self.n < 4:
             raise SpecInvalid(f"M2^n needs n >= 4, got n={self.n}")
@@ -592,9 +649,33 @@ def _rows(m: np.ndarray) -> list[list[int]]:
     return np.array(range(len(m)), dtype=object)[m].tolist()
 
 
-def _from_array(m: np.ndarray, labels: list[str], spec_str: str) -> GroupTable:
-    """A group table built as an array of indices.  Row x holds 0, the least index, once: at column x^-1."""
-    return GroupTable(len(m), _rows(m), m.argmin(axis=1).tolist(), labels, spec_str)
+@dataclass(frozen=True)
+class _Draft:
+    """A Cayley table as a builder made it, before build_group has checked it.
+
+    table is the n x n int64 index array the check reads.  rows are the
+    lists GroupTable keeps, when the builder has them already; otherwise
+    they are made from table once the check has passed.
+    """
+
+    table: np.ndarray
+    inv: list[int]
+    labels: list[str]
+    spec: str
+    rows: list[list[int]] | None = None
+
+    @classmethod
+    def of(cls, g: GroupTable) -> _Draft:
+        return cls(np.asarray(g.mul, dtype=np.int64), g.inv, g.labels, g.spec, g.mul)
+
+    def group(self) -> GroupTable:
+        rows = _rows(self.table) if self.rows is None else self.rows
+        return GroupTable(len(self.table), rows, self.inv, self.labels, self.spec)
+
+
+def _from_array(m: np.ndarray, labels: list[str], spec_str: str) -> _Draft:
+    """A table built as an array of indices.  Row x holds 0, the least index, once: at column x^-1."""
+    return _Draft(m, m.argmin(axis=1).tolist(), labels, spec_str)
 
 
 def _cyclic_label(i: int, name: str = "a") -> str:
@@ -603,13 +684,14 @@ def _cyclic_label(i: int, name: str = "a") -> str:
     return name if i == 1 else f"{name}^{i}"
 
 
-def _build_cyclic(spec: Cyclic) -> GroupTable:
+def _build_cyclic(spec: Cyclic) -> _Draft:
     n = spec.n
+    ar = np.arange(n, dtype=np.int64)
     # row i is row 0 rotated by i; slicing shares the int objects
     row = list(range(n))
     mul = [row[i:] + row[:i] for i in range(n)]
     inv = [-i % n for i in range(n)]
-    return GroupTable(n, mul, inv, [_cyclic_label(i) for i in range(n)], spec.canonical())
+    return _Draft((ar[:, None] + ar) % n, inv, [_cyclic_label(i) for i in range(n)], spec.canonical(), mul)
 
 
 def _word_labels(mx: int, k: int, xn: str, yn: str) -> list[str]:
@@ -619,7 +701,7 @@ def _word_labels(mx: int, k: int, xn: str, yn: str) -> list[str]:
     return [f"{x}*{y}" if x and y else x or y or "1" for x in xs for y in ys]
 
 
-def _build_metacyclic(mx: int, k: int, t: int, twist: int, xn: str, yn: str, spec_str: str) -> GroupTable:
+def _build_metacyclic(mx: int, k: int, t: int, twist: int, xn: str, yn: str, spec_str: str) -> _Draft:
     """Words x^i y^e with y x y^-1 = x^t and y^k = x^twist; index is i*k + e."""
     n = mx * k
     labels = _word_labels(mx, k, xn, yn)
@@ -638,17 +720,17 @@ def _build_metacyclic(mx: int, k: int, t: int, twist: int, xn: str, yn: str, spe
     return _from_array(m.reshape(n, n), labels, spec_str)
 
 
-def _build_dihedral(spec: Dihedral) -> GroupTable:
+def _build_dihedral(spec: Dihedral) -> _Draft:
     m = spec.order // 2
     return _build_metacyclic(m, 2, m - 1, 0, "x", "y", spec.canonical())
 
 
-def _build_dicyclic(spec: Dicyclic) -> GroupTable:
+def _build_dicyclic(spec: Dicyclic) -> _Draft:
     m = spec.m
     return _build_metacyclic(2 * m, 2, 2 * m - 1, m, "a", "b", spec.canonical())
 
 
-def _build_modular(spec: ModularMaxCyclic) -> GroupTable:
+def _build_modular(spec: ModularMaxCyclic) -> _Draft:
     p, n = spec.p, spec.n
     mx = p ** (n - 1)
     r = p ** (n - 2) + 1
@@ -657,13 +739,13 @@ def _build_modular(spec: ModularMaxCyclic) -> GroupTable:
     return _build_metacyclic(mx, p, t, 0, "x", "y", spec.canonical())
 
 
-def _build_semidihedral(spec: Semidihedral) -> GroupTable:
+def _build_semidihedral(spec: Semidihedral) -> _Draft:
     mx = spec.order // 2
     r = mx // 2 - 1      # self-inverse mod mx
     return _build_metacyclic(mx, 2, r, 0, "x", "y", spec.canonical())
 
 
-def _build_zm(spec: ZM) -> GroupTable:
+def _build_zm(spec: ZM) -> _Draft:
     return _build_metacyclic(spec.m, spec.n, spec.r % max(1, spec.m), 0, "a", "b", spec.canonical())
 
 
@@ -711,7 +793,7 @@ def _cycle_label(p: tuple[int, ...], points: Sequence[int]) -> str:
     return txt.replace(",", " ")
 
 
-def _table_from_perms(perms: list[tuple[int, ...]], points: Sequence[int], spec_str: str) -> GroupTable:
+def _table_from_perms(perms: list[tuple[int, ...]], points: Sequence[int], spec_str: str) -> _Draft:
     """Cayley table of a list of permutations closed under the product p*q, which applies p first.
 
     p*q sends v to q[p[v]].  Each element and each product gets a key
@@ -744,17 +826,17 @@ def _table_from_perms(perms: list[tuple[int, ...]], points: Sequence[int], spec_
     return _from_array(index[prod_key], labels, spec_str)
 
 
-def _build_symmetric(spec: Symmetric) -> GroupTable:
+def _build_symmetric(spec: Symmetric) -> _Draft:
     perms = [tuple(p) for p in itertools.permutations(range(spec.n))]
     return _table_from_perms(perms, range(spec.n), spec.canonical())
 
 
-def _build_alternating(spec: Alternating) -> GroupTable:
+def _build_alternating(spec: Alternating) -> _Draft:
     perms = [tuple(p) for p in itertools.permutations(range(spec.n)) if _perm_parity(tuple(p)) == 0]
     return _table_from_perms(perms, range(spec.n), spec.canonical())
 
 
-def _build_permgen(spec: PermGenerated, max_order: int) -> GroupTable:
+def _build_permgen(spec: PermGenerated, max_order: int) -> _Draft:
     identity = tuple(range(len(spec.points)))
     seen = {identity}
     frontier = [identity]
@@ -775,55 +857,67 @@ def _build_permgen(spec: PermGenerated, max_order: int) -> GroupTable:
 
 
 def direct_product(g1: GroupTable, g2: GroupTable, max_order: int = DEFAULT_MAX_ORDER) -> GroupTable:
-    """Pairwise product with mixed-radix encoding (i, j) -> i*|g2| + j."""
-    n1, n2 = g1.order, g2.order
+    """Pairwise product with mixed-radix encoding (i, j) -> i*|g2| + j; the tables are not checked."""
+    return _product(_Draft.of(g1), _Draft.of(g2), max_order).group()
+
+
+def _product(d1: _Draft, d2: _Draft, max_order: int) -> _Draft:
+    n1, n2 = len(d1.table), len(d2.table)
     n = n1 * n2
     if n > max_order:
         raise OrderCapExceeded(f"product order {n} exceeds cap {max_order}")
-    m1 = np.asarray(g1.mul, dtype=np.int64)
-    m2 = np.asarray(g2.mul, dtype=np.int64)
     # axes (a1, b1, a2, b2): (a1, b1) * (a2, b2) = (a1 a2, b1 b2)
-    mul = _rows((m1[:, None, :, None] * n2 + m2[None, :, None, :]).reshape(n, n))
-    inv = [g1.inv[i] * n2 + g2.inv[j] for i in range(n1) for j in range(n2)]
-    labels = [f"({g1.labels[i]},{g2.labels[j]})" for i in range(n1) for j in range(n2)]
-    return GroupTable(n, mul, inv, labels, f"{g1.spec}x{g2.spec}")
+    m = (d1.table[:, None, :, None] * n2 + d2.table[None, :, None, :]).reshape(n, n)
+    inv = [i * n2 + j for i in d1.inv for j in d2.inv]
+    labels = [f"({x},{y})" for x in d1.labels for y in d2.labels]
+    return _Draft(m, inv, labels, f"{d1.spec}x{d2.spec}")
 
 
-def build_group(spec: GroupSpec | str, max_order: int = DEFAULT_MAX_ORDER) -> GroupTable:
-    """Construct and validate the Cayley table for a spec (or spec string)."""
-    if isinstance(spec, str):
-        spec = parse_spec(spec)
-    spec.validate()
+def _build(spec: GroupSpec, max_order: int) -> _Draft:
     expected = spec.expected_order()
     if expected is not None and expected > max_order:
         shown = expected if expected < _ORDER_BOUND else f">= 10^{_ORDER_DIGITS}"
         raise OrderCapExceeded(f"{spec.canonical()} has order {shown} > cap {max_order}")
     if isinstance(spec, Cyclic):
-        g = _build_cyclic(spec)
-    elif isinstance(spec, Dihedral):
-        g = _build_dihedral(spec)
-    elif isinstance(spec, Dicyclic):
-        g = _build_dicyclic(spec)
-    elif isinstance(spec, ModularMaxCyclic):
-        g = _build_modular(spec)
-    elif isinstance(spec, Semidihedral):
-        g = _build_semidihedral(spec)
-    elif isinstance(spec, Symmetric):
-        g = _build_symmetric(spec)
-    elif isinstance(spec, Alternating):
-        g = _build_alternating(spec)
-    elif isinstance(spec, ZM):
-        g = _build_zm(spec)
-    elif isinstance(spec, PermGenerated):
-        g = _build_permgen(spec, max_order)
-    elif isinstance(spec, DirectProduct):
-        tables = [build_group(f, max_order) for f in spec.factors]
-        g = reduce(lambda a, b: direct_product(a, b, max_order), tables)
-    else:
-        raise SpecInvalid(f"unsupported spec type {type(spec).__name__}")
-    check = validate_group(g)
+        return _build_cyclic(spec)
+    if isinstance(spec, Dihedral):
+        return _build_dihedral(spec)
+    if isinstance(spec, Dicyclic):
+        return _build_dicyclic(spec)
+    if isinstance(spec, ModularMaxCyclic):
+        return _build_modular(spec)
+    if isinstance(spec, Semidihedral):
+        return _build_semidihedral(spec)
+    if isinstance(spec, Symmetric):
+        return _build_symmetric(spec)
+    if isinstance(spec, Alternating):
+        return _build_alternating(spec)
+    if isinstance(spec, ZM):
+        return _build_zm(spec)
+    if isinstance(spec, PermGenerated):
+        return _build_permgen(spec, max_order)
+    if isinstance(spec, DirectProduct):
+        # a product table is a group exactly when every factor's is, so only the product is checked
+        return reduce(lambda a, b: _product(a, b, max_order), [_build(f, max_order) for f in spec.factors])
+    raise SpecInvalid(f"unsupported spec type {type(spec).__name__}")
+
+
+def build_group(spec: GroupSpec | str, max_order: int = DEFAULT_MAX_ORDER) -> GroupTable:
+    """Construct and validate the Cayley table for a spec (or spec string).
+
+    The check reads the index array the builder made, with the checks of
+    validate_group, and the table is turned into rows only once it has
+    passed.  The generators Light's test found are kept as the group's.
+    """
+    if isinstance(spec, str):
+        spec = parse_spec(spec)
+    spec.validate()
+    draft = _build(spec, max_order)
+    check, gens = _validate_table(draft.table, draft.inv, draft.labels)
     if not check.ok:
         raise RuntimeError(
             f"constructed table for {spec.canonical()} failed {check.problem} at {check.witness}"
         )
+    g = draft.group()
+    g.generators = gens  # what GroupTable.generators would find again from the rows
     return g

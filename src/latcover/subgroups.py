@@ -8,14 +8,18 @@ Enumeration is the cyclic extension method over zuppos (Neubüser 1960):
 each class representative is extended by one generator of every cyclic
 subgroup of prime-power order, and every closure is Dimino's coset-based
 step (Butler, LNCS 559, 1991), which adds whole right cosets of the
-subgroup being extended.  Conjugation orbits are collected under a small
+subgroup being extended.  A zuppo is skipped when its extension is
+known already: it lies in a double coset H*a*H of a zuppo a tried on
+the same H, or, for normal H, in H*c for a conjugate c of such an a.  A
+closure stops as soon as it is larger than every proper subgroup it
+could still be.  Conjugation orbits are collected under a small
 generating set of the group rather than all of it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 from operator import and_
 
 from .errors import SubgroupCapExceeded
@@ -42,24 +46,38 @@ class Subgroup:
 
 def closure(g: GroupTable, seed: tuple[int, ...] | list[int]) -> Subgroup:
     """Smallest subgroup containing the seed elements (and the identity)."""
+    n = g.order
     elems, mask, gens = [0], 1, []
     for s in seed:
-        if not 0 <= s < g.order:
-            raise ValueError(f"seed element {s} out of range for order {g.order}")
+        if not 0 <= s < n:
+            raise ValueError(f"seed element {s} out of range for order {n}")
         if not mask >> s & 1:
-            elems, mask = _extend(g, elems, mask, gens, s)
+            elems, mask = _extend(g, elems, mask, gens, s, _whole_past(n, len(elems)))
             gens.append(s)
     return Subgroup(tuple(sorted(elems)))
 
 
-def _extend(g: GroupTable, elems: list[int], mask: int, gens: list[int], a: int) -> tuple[list[int], int]:
+def _whole_past(n: int, h: int) -> int:
+    """The largest proper divisor of n that h divides, for a proper divisor h of n.
+
+    A subgroup strictly between one of order h and the whole group has an
+    order that h divides and that divides n, so it is no larger than this.
+    """
+    return n // primes_of(n // h)[0]
+
+
+def _extend(
+    g: GroupTable, elems: list[int], mask: int, gens: list[int], a: int, limit: int
+) -> tuple[list[int], int]:
     """Elements and mask of <H, a>, where gens generate H = elems and a is not in H.
 
     Dimino's step: <H, a> is a union of right cosets H*t.  From the coset
     H*1, every coset representative r and every s in gens + [a] give
     t = r*s, and the whole coset H*t is added unless t is already in.
     The result is closed under right multiplication by the generators,
-    so it is the subgroup.  The inputs are not mutated.
+    so it is the subgroup.  limit is _whole_past(|G|, |H|): once more
+    elements than that are in, the only order left for <H, a> is |G|,
+    and the whole group is returned at once.  The inputs are not mutated.
     """
     n = g.order
     mul = g.mul
@@ -77,8 +95,7 @@ def _extend(g: GroupTable, elems: list[int], mask: int, gens: list[int], a: int)
             elems += coset
             for c in coset:
                 mask |= 1 << c
-            if len(elems) > n // 2:
-                # index 2 subgroups are as large as proper ones get
+            if len(elems) > limit:
                 return list(range(n)), (1 << n) - 1
             reps.append(t)
     return elems, mask
@@ -89,6 +106,18 @@ def _zuppos(g: GroupTable) -> list[int]:
     orders, least = g.element_orders, g.least_generator
     prime_power = {k: len(primes_of(k)) == 1 for k in set(orders)}
     return [a for a in range(1, g.order) if least[a] == a and prime_power[orders[a]]]
+
+
+def _orbit(a: int, tables: list[list[int]]) -> list[int]:
+    """The elements a is carried to by the given permutations of 0..n-1 and their products, a first."""
+    out, seen = [a], 1 << a
+    for x in out:  # grows as images are found
+        for t in tables:
+            y = t[x]
+            if not seen >> y & 1:
+                seen |= 1 << y
+                out.append(y)
+    return out
 
 
 def conjugate_subgroup(g: GroupTable, sub: Subgroup, x: int) -> Subgroup:
@@ -159,6 +188,13 @@ def enumerate_subgroups(g: GroupTable, max_subgroups: int = DEFAULT_MAX_SUBGROUP
     all classes, since <H, a> conjugates to <H^x, a^x>; extending only by
     zuppos reaches all subgroups, since every subgroup is generated by
     its elements of prime-power order.
+
+    A zuppo is skipped when it is known to give a subgroup found before.
+    After a is tried on H, so is the double coset H*a*H, since
+    <H, h*a*h'> = <H, a>.  When H is normal, which is exactly when its
+    orbit is H alone, so is H*c for every conjugate c = a^x, since
+    <H, c> = <H, a>^x lies in the orbit already found.  Neither skip
+    changes the order in which new subgroups are found.
     """
     n = g.order
     mul = g.mul
@@ -169,9 +205,11 @@ def enumerate_subgroups(g: GroupTable, max_subgroups: int = DEFAULT_MAX_SUBGROUP
     ident = list(range(n))
     tables = [t for t in ([mul[mul[inv[x]][h]][x] for h in range(n)] for x in g.generators) if t != ident]
 
-    # mask -> (elements, orbit number); reps[k] is (elements, mask, generators) of orbit k
+    # mask -> (elements, orbit number); reps[k] is (elements, mask, generators, normal) of orbit k
     found: dict[int, tuple[list[int], int]] = {}
-    reps: list[tuple[list[int], int, list[int]]] = [([0], 1, [])]
+    reps: list[tuple[list[int], int, list[int], bool]] = [([0], 1, [], True)]
+    # a zuppo's conjugacy class of elements, walked when a normal H first needs it
+    conjugates = cache(lambda a: _orbit(a, tables))
 
     def add(elems: list[int], mask: int, k: int) -> None:
         found[mask] = (elems, k)
@@ -180,21 +218,23 @@ def enumerate_subgroups(g: GroupTable, max_subgroups: int = DEFAULT_MAX_SUBGROUP
 
     add([0], 1, 0)  # the trivial subgroup counts against the cap too
 
-    for base, base_mask, base_gens in reps:  # grows as new orbits are found
+    for base, base_mask, base_gens, normal in reps:  # grows as new orbits are found
         if len(base) == n:
             continue
-        tried = base_mask
+        limit = _whole_past(n, len(base))
+        tried = base_mask  # a union of right cosets H*t
         for a in zuppos:
             if tried >> a & 1:
                 continue
-            # every h*a in the coset H*a extends H to the same <H, a>
-            for h in base:
-                tried |= 1 << mul[h][a]
-            elems, mask = _extend(g, base, base_mask, base_gens, a)
+            # H*a*H is the cosets H*(a*h); for normal H it is H*a, and every H*a^x counts
+            for t in conjugates(a) if normal else [mul[a][h] for h in base]:
+                if not tried >> t & 1:
+                    for h in base:
+                        tried |= 1 << mul[h][t]
+            elems, mask = _extend(g, base, base_mask, base_gens, a, limit)
             if mask in found:
                 continue
             k = len(reps)
-            reps.append((elems, mask, [*base_gens, a]))
             add(elems, mask, k)
             # breadth-first over the orbit, one generator's conjugation at a time
             orbit = [elems]
@@ -207,6 +247,7 @@ def enumerate_subgroups(g: GroupTable, max_subgroups: int = DEFAULT_MAX_SUBGROUP
                     if m not in found:
                         add(c, m, k)
                         orbit.append(c)
+            reps.append((elems, mask, [*base_gens, a], len(orbit) == 1))
 
     ordered = sorted(
         ((sorted(elems), mask, k) for mask, (elems, k) in found.items()),

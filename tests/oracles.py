@@ -1,7 +1,7 @@
 """Brute-force reference implementations the fast engine is tested against.
 
 Everything here trades speed for obviousness: subgroups come from an
-exhaustive subset sweep, poset facts from the raw definitions, table
+exhaustive subset sweep or from the plain coset-skipping extension loop, poset facts from the raw definitions, table
 associativity from checking every triple, the abelian, nilpotent and
 solvable flags from sweeps over the table, and Cayley tables cell by
 cell in pure Python.  Results are cached per spec string because several
@@ -12,13 +12,16 @@ from __future__ import annotations
 
 import itertools
 import math
+from functools import reduce
+from operator import and_
 
 import numpy as np
 
 from latcover.groups import GroupTable, ValidationResult, element_order, primes_of
 from latcover.posets import PosetView
 from latcover.structure import sylow_subgroups
-from latcover.subgroups import Subgroup, SubgroupLattice, closure
+from latcover.errors import SubgroupCapExceeded
+from latcover.subgroups import Subgroup, SubgroupLattice, _zuppos, closure
 from latcover.verify import analyze_spec
 
 _SUBGROUP_CACHE: dict[str, list[tuple[int, ...]]] = {}
@@ -190,6 +193,99 @@ def derived_series_is_solvable(g: GroupTable) -> bool:
         if len(nxt) == len(cur):
             return False
         cur = nxt
+
+
+def _coset_extend(g: GroupTable, elems: list[int], mask: int, gens: list[int], a: int) -> tuple[list[int], int]:
+    """<H, a> by Dimino's coset step, giving up only past |G|/2 elements."""
+    n = g.order
+    mul = g.mul
+    base = elems
+    elems = list(base)
+    step = [*gens, a]
+    reps = [0]
+    for r in reps:
+        row = mul[r]
+        for s in step:
+            t = row[s]
+            if mask >> t & 1:
+                continue
+            coset = [mul[h][t] for h in base]
+            elems += coset
+            for c in coset:
+                mask |= 1 << c
+            if len(elems) > n // 2:
+                return list(range(n)), (1 << n) - 1
+            reps.append(t)
+    return elems, mask
+
+
+def coset_enumerate_subgroups(g: GroupTable, max_subgroups: int = 100_000) -> SubgroupLattice:
+    """enumerate_subgroups with only the right coset H*a of each zuppo tried marked as tried.
+
+    Every zuppo outside the cosets tried so far is extended, whether or
+    not a double coset or a conjugate says the result is already known,
+    so the lattice, the orbit numbers and the order of discovery come
+    from the plain search.
+    """
+    n = g.order
+    mul = g.mul
+    inv = g.inv
+    zuppos = _zuppos(g)
+    ident = list(range(n))
+    tables = [t for t in ([mul[mul[inv[x]][h]][x] for h in range(n)] for x in g.generators) if t != ident]
+    found: dict[int, tuple[list[int], int]] = {}
+    reps: list[tuple[list[int], int, list[int]]] = [([0], 1, [])]
+
+    def add(elems: list[int], mask: int, k: int) -> None:
+        found[mask] = (elems, k)
+        if len(found) > max_subgroups:
+            raise SubgroupCapExceeded(f"more than {max_subgroups} subgroups in group of order {n}")
+
+    add([0], 1, 0)
+    for base, base_mask, base_gens in reps:
+        if len(base) == n:
+            continue
+        tried = base_mask
+        for a in zuppos:
+            if tried >> a & 1:
+                continue
+            for h in base:
+                tried |= 1 << mul[h][a]
+            elems, mask = _coset_extend(g, base, base_mask, base_gens, a)
+            if mask in found:
+                continue
+            k = len(reps)
+            reps.append((elems, mask, [*base_gens, a]))
+            add(elems, mask, k)
+            orbit = [elems]
+            for cur in orbit:
+                for t in tables:
+                    c = [t[h] for h in cur]
+                    m = 0
+                    for e in c:
+                        m |= 1 << e
+                    if m not in found:
+                        add(c, m, k)
+                        orbit.append(c)
+
+    ordered = sorted(
+        ((sorted(elems), mask, k) for mask, (elems, k) in found.items()),
+        key=lambda t: (len(t[0]), t[0]),
+    )
+    subs = [Subgroup(tuple(elems)) for elems, _, _ in ordered]
+    within = [0] * n
+    for j, s in enumerate(subs):
+        for e in s.elems:
+            within[e] |= 1 << j
+    return SubgroupLattice(
+        group=g,
+        subs=subs,
+        subset=[reduce(and_, [within[e] for e in s.elems]) for s in subs],
+        orbit=[k for _, _, k in ordered],
+        trivial_idx=0,
+        full_idx=len(subs) - 1,
+        _index={mask: i for i, (_, mask, _) in enumerate(ordered)},
+    )
 
 
 def subgroups_by_spec(spec: str) -> list[tuple[int, ...]]:

@@ -123,6 +123,32 @@ def test_analyze_order_cap_message_is_fast(spec, message, capsys):
     assert capsys.readouterr().err.strip() == f"error: {message}"
 
 
+# the base is tested by Miller-Rabin, not trial division, so a large prime is rejected by the order cap at once
+@pytest.mark.parametrize(
+    "spec,code,message",
+    [
+        (
+            "M1000000000000000003^3",
+            3,
+            "M1000000000000000003^3 has order 1000000000000000009000000000000000027000000000000000027 > cap 512",
+        ),
+        ("M3317044064679887385961979^3", 2, "modular family needs a prime base, got 3317044064679887385961979"),
+        (
+            "M3317044064679887385961981^3",
+            2,
+            "modular family base 3317044064679887385961981 is too large: "
+            "primality is decided only below 3317044064679887385961981",
+        ),
+        ("M4^3", 2, "modular family needs a prime base, got 4"),
+    ],
+)
+def test_analyze_modular_base_is_decided_fast(spec, code, message, capsys):
+    t0 = time.perf_counter()
+    assert main(["analyze", spec]) == code
+    assert time.perf_counter() - t0 < 1.0
+    assert capsys.readouterr().err.strip() == f"error: {message}"
+
+
 def test_analyze_subgroup_cap_is_exit_3(capsys):
     assert main(["analyze", "D16", "--max-subgroups", "5"]) == 3
     capsys.readouterr()

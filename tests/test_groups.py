@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 import oracles
@@ -226,6 +227,13 @@ def test_parse_rejects(text):
         parse_spec(text)
 
 
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(5000) if groups._is_prime(n)] == [n for n in range(5000) if groups.primes_of(n) == [n]]
+    # strong pseudoprimes to the first 4, 9 and 12 prime bases: only a later base shows each one composite
+    assert not any(groups._is_prime(n) for n in (3215031751, 3825123056546413051, 318665857834031151167461))
+    assert groups._is_prime(2**61 - 1) and groups._is_prime(1000000000000000003)
+
+
 @pytest.mark.parametrize(
     "spec",
     ["C1", "C12", "D8", "D12", "Q16", "Dic3", "SD16", "M2^4", "M3^3", "S4", "A4", "ZM(5,4,2)", "Q8xC3"],
@@ -364,14 +372,43 @@ def _assert_same_table(g: GroupTable, h: GroupTable) -> None:
     assert all(type(v) is int for v in g.inv)
 
 
+def _drafted(build):
+    """An oracle builder whose table comes back as the draft build_group checks, rows and all."""
+    return lambda *args: groups._Draft.of(build(*args))
+
+
+def _python_product(d1, d2, max_order):
+    return groups._Draft.of(oracles.python_direct_product(d1.group(), d2.group(), max_order))
+
+
 @pytest.mark.parametrize("spec", BUILDER_SPECS)
 def test_builders_match_python_tables(spec, monkeypatch):
     g = build_group(spec)
-    monkeypatch.setattr(groups, "_build_cyclic", oracles.python_build_cyclic)
-    monkeypatch.setattr(groups, "_build_metacyclic", oracles.python_build_metacyclic)
-    monkeypatch.setattr(groups, "_table_from_perms", oracles.python_table_from_perms)
-    monkeypatch.setattr(groups, "direct_product", oracles.python_direct_product)
+    monkeypatch.setattr(groups, "_build_cyclic", _drafted(oracles.python_build_cyclic))
+    monkeypatch.setattr(groups, "_build_metacyclic", _drafted(oracles.python_build_metacyclic))
+    monkeypatch.setattr(groups, "_table_from_perms", _drafted(oracles.python_table_from_perms))
+    monkeypatch.setattr(groups, "_product", _python_product)
     _assert_same_table(g, build_group(spec))
+
+
+@pytest.mark.parametrize("spec", BUILDER_SPECS)
+def test_build_group_checks_the_table_it_keeps(spec, monkeypatch):
+    checked = []
+
+    def record(m, inv, labels):
+        result = validate_table(m, inv, labels)
+        checked.append((m, inv, labels, result))
+        return result
+
+    validate_table = groups._validate_table
+    monkeypatch.setattr(groups, "_validate_table", record)
+    g = build_group(spec)
+    [(m, inv, labels, (res, gens))] = checked
+    assert res == ValidationResult(True)
+    assert np.array_equal(m, np.asarray(g.mul))
+    assert (inv, labels) == (g.inv, g.labels)
+    # the generators kept are the ones the rows give
+    assert gens == g.generators == groups._right_generators(g.mul)
 
 
 @pytest.mark.parametrize("loop_first", [True, False])

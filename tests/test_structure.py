@@ -1,5 +1,8 @@
 """Structural recognizers read off the table and lattice."""
 
+from functools import reduce
+from operator import and_
+
 import pytest
 from sympy.combinatorics import Permutation, PermutationGroup
 
@@ -24,7 +27,7 @@ from latcover.structure import (
     primes_of,
     sylow_subgroups,
 )
-from latcover.subgroups import closure, conjugacy_classes, enumerate_subgroups
+from latcover.subgroups import Subgroup, closure, conjugacy_classes, enumerate_subgroups
 from latcover.verify import CATALOG, FAMILY_NAMES, _family_specs, analyze_spec
 
 # PSL(2,7) on the projective line over F7: x+1 and -1/x; of its primes
@@ -231,10 +234,71 @@ def test_profile_q16():
     assert pr.exponent_facts == {2: 1}
 
 
+def _coset_action(g, subs):
+    """g as sympy permutations of the right cosets of each subgroup given, H*t -> H*t*a for each generator a."""
+    perms = [[] for _ in g.generators]
+    for h in subs:
+        coset_of, reps = {}, []
+        for t in range(g.order):
+            if t not in coset_of:
+                coset_of.update({g.mul[x][t]: len(reps) for x in h.elems})
+                reps.append(t)
+        base = len(perms[0]) if perms else 0
+        for perm, a in zip(perms, g.generators):
+            perm += [base + coset_of[g.mul[r][a]] for r in reps]
+    return PermutationGroup([Permutation(p) for p in perms] or [Permutation([0])])
+
+
 def _regular_permutation_group(g):
     """g as sympy permutations of its elements, x -> x*a for each generator a."""
-    perms = [Permutation([g.mul[x][a] for x in range(g.order)]) for a in g.generators]
-    return PermutationGroup(perms or [Permutation([0])])
+    return _coset_action(g, [Subgroup((0,))])
+
+
+def _small_faithful_action(g, lat, ccp):
+    """g acting on the cosets of a few subgroups whose cores meet in 1, chosen largest first.
+
+    The action is faithful exactly when the cores meet in 1, and a
+    small degree keeps sympy's Sylow search fast: on the regular
+    representation it takes over a minute for these groups.
+    """
+    kernel, chosen = (1 << g.order) - 1, []
+    for c in sorted(range(len(ccp.classes)), key=lambda c: -lat.subs[ccp.rep[c]].order):
+        core = reduce(and_, (lat.subs[i].mask for i in ccp.classes[c]))
+        if kernel & core != kernel:
+            kernel &= core
+            chosen.append(lat.subs[ccp.rep[c]])
+    return _coset_action(g, chosen)
+
+
+def _sympy_sylow(sp, p):
+    """Order of a Sylow p-subgroup of a sympy group, and how many there are: its orbit under conjugation."""
+    first = frozenset(sp.sylow_subgroup(p).generate())
+    orbit, seen = [first], {first}
+    for cur in orbit:
+        for x in sp.generators:
+            conj = frozenset(x**-1 * e * x for e in cur)
+            if conj not in seen:
+                seen.add(conj)
+                orbit.append(conj)
+    return len(first), len(orbit)
+
+
+SYLOW_SPECS = [*(spec for fam in FAMILY_NAMES for spec in _family_specs(fam, 64)), PSL27]
+
+
+def test_sylow_subgroups_match_sympy():
+    mismatches = []
+    for spec in SYLOW_SPECS:
+        g = build_group(spec)
+        lat = enumerate_subgroups(g)
+        sp = _small_faithful_action(g, lat, conjugacy_classes(lat))
+        assert sp.order() == g.order, spec
+        for p in primes_of(g):
+            found = sylow_subgroups(g, lat, p)
+            got = (lat.subs[found[0]].order, len(found))
+            if {lat.subs[i].order for i in found} != {got[0]} or got != _sympy_sylow(sp, p):
+                mismatches.append((spec, p, got, _sympy_sylow(sp, p)))
+    assert mismatches == []
 
 
 def test_profile_flags_match_oracles_and_sympy():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from latcover.errors import SubgroupCapExceeded
-from latcover.groups import build_group
+from latcover.groups import build_group, parse_spec
 from latcover.subgroups import (
     Subgroup,
     closure,
@@ -16,7 +16,7 @@ from latcover.subgroups import (
     enumerate_subgroups,
     normalizer,
 )
-from latcover.verify import CATALOG, analyze_spec
+from latcover.verify import CATALOG, FAMILY_NAMES, _family_specs, analyze_spec
 
 # independently known subgroup counts
 COUNTS = {
@@ -270,3 +270,45 @@ def test_enumeration_matches_oracle_spot_checks():
     for spec in ("S3", "D8", "Q16", "A4"):
         a = analyze_spec(spec)
         assert {s.elems for s in a.lattice.subs} == set(oracles.subgroups_by_spec(spec))
+
+
+def _cycle_text(perm):
+    """A permutation of 0..k-1 in 1-based cycle notation, '()' for the identity."""
+    out, seen = [], set()
+    for s in range(len(perm)):
+        if s in seen or perm[s] == s:
+            continue
+        cyc, v = [], s
+        while v not in seen:
+            seen.add(v)
+            cyc.append(str(v + 1))
+            v = perm[v]
+        out.append("(" + ",".join(cyc) + ")")
+    return "".join(out) or "()"
+
+
+SMALL_FAMILY_SPECS = [spec for family in FAMILY_NAMES for spec in _family_specs(family, 64)]
+FACTORS = [spec for spec in SMALL_FAMILY_SPECS if parse_spec(spec).expected_order() <= 12]
+
+# family members, products of two small ones, and groups generated by random permutations of 5 points
+RANDOM_SPECS = st.one_of(
+    st.sampled_from(SMALL_FAMILY_SPECS),
+    st.tuples(st.sampled_from(FACTORS), st.sampled_from(FACTORS)).map("x".join),
+    st.lists(st.permutations(range(5)), min_size=1, max_size=3).map(
+        lambda gens: "perm:5:" + ";".join(_cycle_text(p) for p in gens)
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(RANDOM_SPECS)
+def test_lattice_properties_on_random_specs(spec):
+    # the enumeration skips conjugate zuppos only for normal subgroups, read off orbits of size 1
+    g = build_group(spec)
+    lat = enumerate_subgroups(g)
+    ccp = conjugacy_classes(lat)
+    assert sum(len(cls) for cls in ccp.classes) == len(lat)
+    for cls, rep in zip(ccp.classes, ccp.rep):
+        assert len(cls) == g.order // normalizer(g, lat.subs[rep]).order
+    masks = [s.mask for s in lat.subs]
+    assert all(a & b in lat._index for i, a in enumerate(masks) for b in masks[i + 1 :])
