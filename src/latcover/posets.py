@@ -9,15 +9,13 @@ is itself cyclic, so those views may have no top.
 Every view lists its nodes by ascending order (subgroups by (order,
 elements), classes by their least member), and a node lies below only
 nodes of larger order or itself.  The node order is therefore a linear
-extension: leq[i] has no bit below i.  The queries rely on this, so
-that they read only leq; only the cover search builds the transpose
-`down`, and only for the view it searches.
+extension: leq[i] has no bit below i.  The queries rely on this to
+read only leq, so no view keeps its transpose.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import NotComparable
 from .groups import GroupTable
@@ -29,17 +27,6 @@ KINDS = ("L", "Lbar", "C", "Cbar")
 def subgroup_is_cyclic(g: GroupTable, sub: Subgroup) -> bool:
     orders = g.element_orders
     return any(orders[e] == sub.order for e in sub.elems)
-
-
-def _transpose(rows: list[int]) -> list[int]:
-    out = [0] * len(rows)
-    for i, row in enumerate(rows):
-        r = row
-        while r:
-            j = (r & -r).bit_length() - 1
-            out[j] |= 1 << i
-            r &= r - 1
-    return out
 
 
 def _restrict(rows: list[int], keep: list[int]) -> list[int]:
@@ -78,64 +65,33 @@ class PosetView:
     def le(self, i: int, j: int) -> bool:
         return self.leq[i] >> j & 1 == 1
 
-    @cached_property
-    def down(self) -> list[int]:
-        """Transpose of leq: bit i of down[j] means i lies below j.
-
-        Built on first use, one step per containment pair; of the
-        queries, only two_interval_cover reads it.
-        """
-        return _transpose(self.leq)
-
 
 def build_poset(lat: SubgroupLattice, ccp: ConjClassPoset, kind: str) -> PosetView:
-    if kind == "L":
-        return PosetView(
-            kind=kind,
-            leq=list(lat.subset),
-            labels=[f"o{s.order}" for s in lat.subs],
-            payload=list(range(len(lat.subs))),
-            orders=[s.order for s in lat.subs],
-            bottom_idx=lat.trivial_idx,
-            top_idx=lat.full_idx,
-        )
-    if kind == "Lbar":
-        orders = [lat.subs[r].order for r in ccp.rep]
-        return PosetView(
-            kind=kind,
-            leq=list(ccp.leq),
-            labels=[f"o{o}×{len(c)}" for o, c in zip(orders, ccp.classes)],
-            payload=list(range(len(ccp.classes))),
-            orders=orders,
-            bottom_idx=ccp.bottom_idx,
-            top_idx=ccp.top_idx,
-        )
-    if kind == "C":
-        keep = [i for i, c in enumerate(lat.cyclic) if c]
-        pos = {v: k for k, v in enumerate(keep)}
-        return PosetView(
-            kind=kind,
-            leq=_restrict(lat.subset, keep),
-            labels=[f"o{lat.subs[i].order}" for i in keep],
-            payload=keep,
-            orders=[lat.subs[i].order for i in keep],
-            bottom_idx=pos[lat.trivial_idx],
-            top_idx=pos.get(lat.full_idx),
-        )
-    if kind == "Cbar":
-        keep = [c for c, r in enumerate(ccp.rep) if lat.cyclic[r]]
-        pos = {v: k for k, v in enumerate(keep)}
-        orders = [lat.subs[ccp.rep[c]].order for c in keep]
-        return PosetView(
-            kind=kind,
-            leq=_restrict(ccp.leq, keep),
-            labels=[f"o{o}×{len(ccp.classes[c])}" for o, c in zip(orders, keep)],
-            payload=keep,
-            orders=orders,
-            bottom_idx=pos[ccp.bottom_idx],
-            top_idx=pos.get(ccp.top_idx),
-        )
-    raise ValueError(f"unknown poset kind {kind!r}, expected one of {KINDS}")
+    if kind not in KINDS:
+        raise ValueError(f"unknown poset kind {kind!r}, expected one of {KINDS}")
+    by_class = kind in ("Lbar", "Cbar")
+    rows = ccp.leq if by_class else lat.subset
+    reps = ccp.rep if by_class else range(len(lat.subs))
+    bottom, top = (ccp.bottom_idx, ccp.top_idx) if by_class else (lat.trivial_idx, lat.full_idx)
+    if kind in ("C", "Cbar"):
+        keep = [i for i, r in enumerate(reps) if lat.cyclic[r]]
+    else:
+        keep = list(range(len(rows)))
+    pos = {v: k for k, v in enumerate(keep)}
+    orders = [lat.subs[reps[i]].order for i in keep]
+    if by_class:
+        labels = [f"o{o}×{len(ccp.classes[c])}" for o, c in zip(orders, keep)]
+    else:
+        labels = [f"o{o}" for o in orders]
+    return PosetView(
+        kind=kind,
+        leq=_restrict(rows, keep) if len(keep) < len(rows) else list(rows),
+        labels=labels,
+        payload=keep,
+        orders=orders,
+        bottom_idx=pos[bottom],
+        top_idx=pos.get(top),
+    )
 
 
 def breaking_points(p: PosetView) -> list[int]:
@@ -174,40 +130,36 @@ def two_interval_cover(p: PosetView, find_all: bool = False) -> IntervalCoverWit
 
     Bottom and top are excluded as candidates for both slots; m = n is
     allowed.  Search order is fixed: m by descending order then label, n
-    by ascending order then label, ties by node index.  When some node
-    is not below m, n must lie below the least such node, so only those
-    candidates are tried, still in search order.
+    by ascending order then label, ties by node index.  For each n, the
+    m that work are those above every node not above n, the AND of their
+    leq rows.  The rows are taken from the highest node down, as those
+    are the shortest, so the AND soon empties when no m works.
     """
     full = (1 << p.size) - 1
     eligible = [x for x in range(p.size) if x != p.bottom_idx and x != p.top_idx]
-    ms = sorted(eligible, key=lambda i: (-p.orders[i], p.labels[i]))
-    ns = sorted(eligible, key=lambda i: (p.orders[i], p.labels[i]))
-    rank = {n: r for r, n in enumerate(ns)}
-    down = p.down
-    pairs: list[tuple[int, int]] = []
-    for m in ms:
-        dm = down[m]
-        missing = full & ~dm
-        if missing:
-            low = (missing & -missing).bit_length() - 1
-            below = down[low]
-            cands = []
-            while below:
-                x = (below & -below).bit_length() - 1
-                if x in rank:
-                    cands.append(x)
-                below &= below - 1
-            cands.sort(key=rank.__getitem__)
-        else:
-            cands = ns
-        for n in cands:
-            if dm | p.leq[n] == full:
-                if not find_all:
-                    return IntervalCoverWitness(m, n)
-                pairs.append((m, n))
-    if pairs:
-        return IntervalCoverWitness(pairs[0][0], pairs[0][1], tuple(pairs))
-    return None
+    m_rank = {m: r for r, m in enumerate(sorted(eligible, key=lambda i: (-p.orders[i], p.labels[i])))}
+    n_rank = {n: r for r, n in enumerate(sorted(eligible, key=lambda i: (p.orders[i], p.labels[i])))}
+    elig = full & ~(1 << p.bottom_idx)
+    if p.top_idx is not None:
+        elig &= ~(1 << p.top_idx)
+    leq = p.leq
+    found = []
+    for n in eligible:
+        ms = elig
+        rest = full & ~leq[n]
+        while rest and ms:
+            x = rest.bit_length() - 1
+            ms &= leq[x]
+            rest ^= 1 << x
+        while ms:
+            m = (ms & -ms).bit_length() - 1
+            found.append((m_rank[m], n_rank[n], m, n))
+            ms &= ms - 1
+    if not found:
+        return None
+    found.sort()
+    pairs = tuple((m, n) for _, _, m, n in found)
+    return IntervalCoverWitness(pairs[0][0], pairs[0][1], pairs if find_all else None)
 
 
 def cover_holds(p: PosetView, m: int, n: int) -> bool:

@@ -1,7 +1,8 @@
 """Brute-force reference implementations the fast engine is tested against.
 
 Everything here trades speed for obviousness: subgroups come from an
-exhaustive subset sweep or from the plain coset-skipping extension loop, poset facts from the raw definitions, table
+exhaustive subset sweep or from the plain coset-skipping extension loop,
+poset facts from the raw definitions or from the transpose of leq, table
 associativity from checking every triple, the abelian, nilpotent and
 solvable flags from sweeps over the table, and Cayley tables cell by
 cell in pure Python.  Results are cached per spec string because several
@@ -18,7 +19,7 @@ from operator import and_
 import numpy as np
 
 from latcover.groups import GroupTable, ValidationResult, element_order, primes_of
-from latcover.posets import PosetView
+from latcover.posets import IntervalCoverWitness, PosetView
 from latcover.structure import sylow_subgroups
 from latcover.errors import SubgroupCapExceeded
 from latcover.subgroups import Subgroup, SubgroupLattice, _zuppos, closure
@@ -332,10 +333,21 @@ def brute_hasse(view: PosetView) -> list[tuple[int, int]]:
     return edges
 
 
-def down_breaking_points(view: PosetView) -> list[int]:
-    """breaking_points through down: x qualifies when leq[x] | down[x] is every node."""
+def transpose(rows: list[int]) -> list[int]:
+    """The transpose of a bitrow matrix, one step per set bit: bit i of out[j] is bit j of rows[i]."""
+    out = [0] * len(rows)
+    for i, row in enumerate(rows):
+        r = row
+        while r:
+            j = (r & -r).bit_length() - 1
+            out[j] |= 1 << i
+            r &= r - 1
+    return out
+
+
+def down_breaking_points(view: PosetView, down: list[int]) -> list[int]:
+    """breaking_points through down, the transpose of leq: x qualifies when leq[x] | down[x] is every node."""
     full = (1 << view.size) - 1
-    down = view.down
     out = []
     for x in range(view.size):
         if x == view.bottom_idx or x == view.top_idx:
@@ -347,9 +359,8 @@ def down_breaking_points(view: PosetView) -> list[int]:
     return out
 
 
-def down_hasse_edges(view: PosetView) -> list[tuple[int, int]]:
+def down_hasse_edges(view: PosetView, down: list[int]) -> list[tuple[int, int]]:
     """hasse_edges with one between-test per containment pair, through down."""
-    down = view.down
     edges = []
     for x in range(view.size):
         up = view.leq[x] & ~(1 << x)
@@ -362,10 +373,49 @@ def down_hasse_edges(view: PosetView) -> list[tuple[int, int]]:
     return edges
 
 
-def down_interval(view: PosetView, a: int, b: int) -> list[int]:
+def down_interval(view: PosetView, down: list[int], a: int, b: int) -> list[int]:
     """interval as leq[a] & down[b], without its comparability check."""
-    mask = view.leq[a] & view.down[b]
+    mask = view.leq[a] & down[b]
     return [j for j in range(view.size) if mask >> j & 1]
+
+
+def down_two_interval_cover(
+    view: PosetView, down: list[int], find_all: bool = False
+) -> IntervalCoverWitness | None:
+    """two_interval_cover by walking m in search order and testing down[m] | leq[n].
+
+    When some node is not below m, n must lie below the least such
+    node, so only those candidates are tried, still in search order.
+    """
+    full = (1 << view.size) - 1
+    eligible = [x for x in range(view.size) if x != view.bottom_idx and x != view.top_idx]
+    ms = sorted(eligible, key=lambda i: (-view.orders[i], view.labels[i]))
+    ns = sorted(eligible, key=lambda i: (view.orders[i], view.labels[i]))
+    rank = {n: r for r, n in enumerate(ns)}
+    pairs: list[tuple[int, int]] = []
+    for m in ms:
+        dm = down[m]
+        missing = full & ~dm
+        if missing:
+            low = (missing & -missing).bit_length() - 1
+            below = down[low]
+            cands = []
+            while below:
+                x = (below & -below).bit_length() - 1
+                if x in rank:
+                    cands.append(x)
+                below &= below - 1
+            cands.sort(key=rank.__getitem__)
+        else:
+            cands = ns
+        for n in cands:
+            if dm | view.leq[n] == full:
+                if not find_all:
+                    return IntervalCoverWitness(m, n)
+                pairs.append((m, n))
+    if pairs:
+        return IntervalCoverWitness(pairs[0][0], pairs[0][1], tuple(pairs))
+    return None
 
 
 def reachability(size: int, edges: list[tuple[int, int]]) -> list[int]:

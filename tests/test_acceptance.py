@@ -121,11 +121,11 @@ def _property_suite_holds(spec: str) -> bool:
             return False
     for kind in KINDS:
         view = a.posets[kind]
-        full = (1 << view.size) - 1
+        down = oracles.transpose(view.leq)
         for x in range(view.size):
             if not view.le(x, x):
                 return False
-            if view.leq[x] & view.down[x] != 1 << x:
+            if view.leq[x] & down[x] != 1 << x:
                 return False  # antisymmetry
             for y in range(view.size):
                 if view.le(x, y) and view.leq[y] & ~view.leq[x]:
@@ -148,7 +148,7 @@ def _property_suite_holds(spec: str) -> bool:
         if w is not None and not cover_holds(view, w.m_idx, w.n_idx):
             return False
         edges = [(x, y) for x in range(view.size) for y in range(view.size)
-                 if x != y and view.le(x, y) and view.leq[x] & view.down[y] == (1 << x) | (1 << y)]
+                 if x != y and view.le(x, y) and view.leq[x] & down[y] == (1 << x) | (1 << y)]
         if oracles.reachability(view.size, edges) != view.leq:
             return False
     if a.profile.is_abelian:

@@ -16,7 +16,7 @@ from latcover.cli import (
     scan_rows_csv,
     scan_rows_table,
 )
-from latcover import verify
+from latcover import cli, verify
 from latcover.verify import CaseResult, SuiteResult, analyze_spec, scan_class_c
 
 
@@ -50,6 +50,22 @@ def test_analyze_json_roundtrip(tmp_path, capsys):
     assert loaded["class_c"]["member"] is True
     assert loaded["class_c"]["witness_count"] >= 1
     assert loaded == build_report(analyze_spec("Q16"), True, loaded["elapsed_s"]).to_dict()
+
+
+def test_analyze_elapsed_includes_the_queries(tmp_path, capsys, monkeypatch):
+    search = cli.two_interval_cover
+
+    def slow_search(*args, **kwargs):
+        time.sleep(0.3)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "two_interval_cover", slow_search)
+    path = tmp_path / "report.json"
+    assert main(["analyze", "S3", "--json", str(path)]) == 0
+    out = capsys.readouterr().out
+    elapsed = json.loads(path.read_text())["elapsed_s"]
+    assert elapsed >= 0.3
+    assert f"elapsed: {elapsed:.3f}s" in out
 
 
 def test_analyze_dot_output(tmp_path, capsys):

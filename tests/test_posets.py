@@ -209,9 +209,10 @@ def test_le_against_leq_rows():
 
 def test_down_is_transpose():
     view = analyze_spec("D12").posets["Lbar"]
+    down = oracles.transpose(view.leq)
     for x in range(view.size):
         for y in range(view.size):
-            assert bool(view.down[y] >> x & 1) == view.le(x, y)
+            assert bool(down[y] >> x & 1) == view.le(x, y)
 
 
 @pytest.mark.parametrize("spec", LEQ_SPECS)
@@ -226,8 +227,18 @@ def test_views_are_linear_extensions(spec):
 def test_leq_queries_match_down_oracles(spec):
     for kind in KINDS:
         view = analyze_spec(spec).posets[kind]
-        assert hasse_edges(view) == oracles.down_hasse_edges(view), kind
-        assert breaking_points(view) == oracles.down_breaking_points(view), kind
+        down = oracles.transpose(view.leq)
+        assert hasse_edges(view) == oracles.down_hasse_edges(view, down), kind
+        assert breaking_points(view) == oracles.down_breaking_points(view, down), kind
+
+
+@pytest.mark.parametrize("spec", LEQ_SPECS)
+@pytest.mark.parametrize("kind", KINDS)
+def test_cover_search_matches_down_oracle(spec, kind):
+    view = analyze_spec(spec).posets[kind]
+    down = oracles.transpose(view.leq)
+    for find_all in (False, True):
+        assert two_interval_cover(view, find_all) == oracles.down_two_interval_cover(view, down, find_all), find_all
 
 
 @pytest.mark.parametrize("spec", LEQ_SPECS)
@@ -235,6 +246,7 @@ def test_interval_matches_down_oracle(spec):
     rng = random.Random(spec)
     for kind in KINDS:
         view = analyze_spec(spec).posets[kind]
+        down = oracles.transpose(view.leq)
         pairs = []
         for a, row in enumerate(view.leq):
             while row:
@@ -244,7 +256,7 @@ def test_interval_matches_down_oracle(spec):
             pairs = rng.sample(pairs, 300)
         pairs.append((view.bottom_idx, view.top_idx if view.top_idx is not None else view.size - 1))
         for a, b in pairs:
-            assert interval(view, a, b) == oracles.down_interval(view, a, b), (kind, a, b)
+            assert interval(view, a, b) == oracles.down_interval(view, down, a, b), (kind, a, b)
 
 
 @pytest.mark.parametrize("spec", MIDSIZE)

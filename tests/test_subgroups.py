@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import oracles
 from latcover.errors import SubgroupCapExceeded
 from latcover.groups import build_group, parse_spec
+from latcover.posets import KINDS, build_poset, two_interval_cover
 from latcover.subgroups import (
     Subgroup,
     closure,
@@ -312,3 +313,10 @@ def test_lattice_properties_on_random_specs(spec):
         assert len(cls) == g.order // normalizer(g, lat.subs[rep]).order
     masks = [s.mask for s in lat.subs]
     assert all(a & b in lat._index for i, a in enumerate(masks) for b in masks[i + 1 :])
+    # the cover search gives every pair, in its documented order
+    for kind in KINDS:
+        view = build_poset(lat, ccp, kind)
+        if view.size <= 64:
+            want = oracles.ordered_cover_pairs(view)
+            w = two_interval_cover(view, find_all=True)
+            assert (w.all_pairs if w else None) == (tuple(want) or None), kind
