@@ -1,11 +1,12 @@
 """Command line interface: analyze, verify, scan.
 
 Exit codes: 0 success, 1 a verification suite failed, 2 bad usage (a
-cap below 1 included) or an invalid spec, 3 an order or subgroup cap was
-exceeded.  Environment variables LATCOVER_MAX_ORDER,
-LATCOVER_MAX_SUBGROUPS, LATCOVER_POSET and LATCOVER_ALL_WITNESSES
-override the matching option defaults.  Stdout is for humans;
-machine-readable output goes to --json/--csv paths only.
+cap below 1 included), an invalid spec or a --json/--csv/--dot path that
+cannot be written, 3 an order or subgroup cap was exceeded.
+Environment variables LATCOVER_MAX_ORDER, LATCOVER_MAX_SUBGROUPS,
+LATCOVER_POSET and LATCOVER_ALL_WITNESSES override the matching option
+defaults.  Stdout is for humans; machine-readable output goes to
+--json/--csv paths only.
 """
 
 from __future__ import annotations
@@ -202,8 +203,19 @@ def scan_rows_table(rows: list[ScanRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
+class _Unwritable(Exception):
+    """An output path could not be written; main reports it and exits 2."""
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise _Unwritable(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _write_json(path: str, payload: Any) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    _write(path, json.dumps(payload, indent=2) + "\n")
 
 
 def _fmt_flag(v: bool) -> str:
@@ -250,7 +262,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if args.json:
         _write_json(args.json, report.to_dict())
     if args.dot:
-        Path(args.dot).write_text(poset_dot(a.posets[args.poset]), encoding="utf-8")
+        _write(args.dot, poset_dot(a.posets[args.poset]))
     return 0
 
 
@@ -294,7 +306,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.csv:
-        Path(args.csv).write_text(scan_rows_csv(rows), encoding="utf-8")
+        _write(args.csv, scan_rows_csv(rows))
     if args.json:
         _write_json(args.json, {"rows": [r.to_dict() for r in rows]})
     if args.csv or args.json:
@@ -399,7 +411,11 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _Unwritable as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def entrypoint() -> None:

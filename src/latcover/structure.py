@@ -61,8 +61,7 @@ def _p_valuation(n: int, p: int) -> int:
 def sylow_subgroups(g: GroupTable, lat: SubgroupLattice, p: int) -> list[int]:
     """Indices of the subgroups of maximal p-power order."""
     _check_prime(g, p)
-    size = p ** _p_valuation(g.order, p)
-    return [i for i, s in enumerate(lat.subs) if s.order == size]
+    return list(lat.of_order(p ** _p_valuation(g.order, p)))
 
 
 def is_nilpotent(g: GroupTable, lat: SubgroupLattice) -> bool:
@@ -106,7 +105,7 @@ def is_generalized_quaternion(g: GroupTable, lat: SubgroupLattice) -> bool:
         return False
     if is_cyclic(g):
         return False
-    return sum(1 for s in lat.subs if s.order == 2) == 1
+    return len(lat.of_order(2)) == 1
 
 
 def is_cyclic_pgroup_order_ge_p2(g: GroupTable) -> bool:
@@ -119,20 +118,14 @@ def is_cyclic_pgroup_order_ge_p2(g: GroupTable) -> bool:
 def order_p_subgroups_conjugate(g: GroupTable, lat: SubgroupLattice, ccp: ConjClassPoset, p: int) -> bool:
     """All subgroups of order p form one conjugacy class."""
     _check_prime(g, p)
-    hits = sum(1 for c in range(len(ccp.classes)) if lat.subs[ccp.rep[c]].order == p)
-    return hits == 1
+    return len({ccp.class_of[i] for i in lat.of_order(p)}) == 1
 
 
 def p_complement(g: GroupTable, lat: SubgroupLattice, p: int) -> Subgroup | None:
     """First subgroup of order |G| / p^v, or None when no such subgroup exists."""
     _check_prime(g, p)
-    size = g.order // p ** _p_valuation(g.order, p)
-    for s in lat.subs:
-        if s.order == size:
-            return s
-        if s.order > size:
-            break
-    return None
+    hits = lat.of_order(g.order // p ** _p_valuation(g.order, p))
+    return lat.subs[hits[0]] if hits else None
 
 
 @dataclass(frozen=True)
@@ -149,7 +142,7 @@ class StructureProfile:
 
 def build_profile(g: GroupTable, lat: SubgroupLattice, ccp: ConjClassPoset) -> StructureProfile:
     ps = primes_of(g)
-    counts = {p: sum(1 for s in lat.subs if s.order == p) for p in ps}
+    counts = {p: len(lat.of_order(p)) for p in ps}
     return StructureProfile(
         primes=tuple(ps),
         is_abelian=is_abelian(g),

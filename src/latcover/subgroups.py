@@ -9,18 +9,22 @@ each class representative is extended by one generator of every cyclic
 subgroup of prime-power order, and every closure is Dimino's coset-based
 step (Butler, LNCS 559, 1991), which adds whole right cosets of the
 subgroup being extended.  A zuppo is skipped when its extension is
-known already: it lies in a double coset H*a*H of a zuppo a tried on
-the same H, or, for normal H, in H*c for a conjugate c of such an a.  A
-closure stops as soon as it is larger than every proper subgroup it
-could still be.  Conjugation orbits are collected under a small
+known already: a subgroup found before contains H and the zuppo with
+prime index over H, so by Lagrange it is the extension; or the zuppo
+lies in a double coset H*a*H of a zuppo a tried on the same H, or, for
+normal H, in H*c for a conjugate c of such an a.  With the first skip,
+an elementary abelian group runs one closure per subgroup.  A closure
+stops as soon as it is larger than every proper subgroup it could
+still be.  Conjugation orbits are collected under a small
 generating set of the group rather than all of it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cache, cached_property, reduce
-from operator import and_
+from operator import and_, or_
 
 from .errors import SubgroupCapExceeded
 from .groups import GroupTable, primes_of
@@ -52,18 +56,18 @@ def closure(g: GroupTable, seed: tuple[int, ...] | list[int]) -> Subgroup:
         if not 0 <= s < n:
             raise ValueError(f"seed element {s} out of range for order {n}")
         if not mask >> s & 1:
-            elems, mask = _extend(g, elems, mask, gens, s, _whole_past(n, len(elems)))
+            elems, mask = _extend(g, elems, mask, gens, s, _whole_past(n, primes_of(n // len(elems))))
             gens.append(s)
     return Subgroup(tuple(sorted(elems)))
 
 
-def _whole_past(n: int, h: int) -> int:
-    """The largest proper divisor of n that h divides, for a proper divisor h of n.
+def _whole_past(n: int, index_primes: list[int]) -> int:
+    """The largest proper divisor of n that h divides, from the primes of n // h, for a proper divisor h of n.
 
     A subgroup strictly between one of order h and the whole group has an
     order that h divides and that divides n, so it is no larger than this.
     """
-    return n // primes_of(n // h)[0]
+    return n // index_primes[0]
 
 
 def _extend(
@@ -75,9 +79,10 @@ def _extend(
     H*1, every coset representative r and every s in gens + [a] give
     t = r*s, and the whole coset H*t is added unless t is already in.
     The result is closed under right multiplication by the generators,
-    so it is the subgroup.  limit is _whole_past(|G|, |H|): once more
-    elements than that are in, the only order left for <H, a> is |G|,
-    and the whole group is returned at once.  The inputs are not mutated.
+    so it is the subgroup.  limit is the bound _whole_past gives for |G|
+    and |H|: once more elements than that are in, the only order left
+    for <H, a> is |G|, and the whole group is returned at once.  The
+    inputs are not mutated.
     """
     n = g.order
     mul = g.mul
@@ -168,6 +173,15 @@ class SubgroupLattice:
         return self._index[elems.mask]
 
     @cached_property
+    def _orders(self) -> list[int]:
+        return [len(s.elems) for s in self.subs]
+
+    def of_order(self, k: int) -> range:
+        """Indices of the subgroups of order k, a range since the listing is sorted by order."""
+        orders = self._orders
+        return range(bisect_left(orders, k), bisect_right(orders, k))
+
+    @cached_property
     def cyclic(self) -> list[bool]:
         """cyclic[i] tells whether subs[i] is cyclic, that is, holds an element of order |subs[i]|."""
         of_order: dict[int, int] = {}
@@ -190,16 +204,23 @@ def enumerate_subgroups(g: GroupTable, max_subgroups: int = DEFAULT_MAX_SUBGROUP
     its elements of prime-power order.
 
     A zuppo is skipped when it is known to give a subgroup found before.
-    After a is tried on H, so is the double coset H*a*H, since
-    <H, h*a*h'> = <H, a>.  When H is normal, which is exactly when its
-    orbit is H alone, so is H*c for every conjugate c = a^x, since
-    <H, c> = <H, a>^x lies in the orbit already found.  Neither skip
-    changes the order in which new subgroups are found.
+    First, when a subgroup K found before contains H and a, and |K:H|
+    is prime, then H < <H, a> <= K forces <H, a> = K, so no closure
+    runs and all of K counts as tried on H.  Bitrows over the found
+    subgroups, one per zuppo and one per order, find such a K with a
+    few big-integer ANDs.  Otherwise, after a is tried on H, so is the
+    double coset H*a*H, since <H, h*a*h'> = <H, a>.  When H is normal,
+    which is exactly when its orbit is H alone, so is H*c for every
+    conjugate c = a^x, since <H, c> = <H, a>^x lies in the orbit
+    already found.  No skip changes the order in which new subgroups
+    are found, so the orbit numbers and the subgroup at which the cap
+    trips stay those of the plain search.
     """
     n = g.order
     mul = g.mul
     inv = g.inv
     zuppos = _zuppos(g)
+    zuppo_mask = reduce(or_, [1 << z for z in zuppos], 0)
 
     # conjugation tables of the group's generators; central ones act trivially
     ident = list(range(n))
@@ -210,21 +231,48 @@ def enumerate_subgroups(g: GroupTable, max_subgroups: int = DEFAULT_MAX_SUBGROUP
     reps: list[tuple[list[int], int, list[int], bool]] = [([0], 1, [], True)]
     # a zuppo's conjugacy class of elements, walked when a normal H first needs it
     conjugates = cache(lambda a: _orbit(a, tables))
+    # masks[d] is the d-th subgroup found; bit d of holds[z] means it contains
+    # zuppo z, and bit d of of_order[o] that its order is o
+    masks: list[int] = []
+    holds = [0] * n
+    of_order: dict[int, int] = {}
 
     def add(elems: list[int], mask: int, k: int) -> None:
+        bit = 1 << len(masks)
+        masks.append(mask)
         found[mask] = (elems, k)
+        of_order[len(elems)] = of_order.get(len(elems), 0) | bit
+        inside = mask & zuppo_mask
+        while inside:
+            low = inside & -inside
+            holds[low.bit_length() - 1] |= bit
+            inside ^= low
         if len(found) > max_subgroups:
             raise SubgroupCapExceeded(f"more than {max_subgroups} subgroups in group of order {n}")
 
     add([0], 1, 0)  # the trivial subgroup counts against the cap too
 
     for base, base_mask, base_gens, normal in reps:  # grows as new orbits are found
-        if len(base) == n:
+        order = len(base)
+        if order == n:
             continue
-        limit = _whole_past(n, len(base))
+        primes = primes_of(n // order)
+        limit = _whole_past(n, primes)
         tried = base_mask  # a union of right cosets H*t
+        # found subgroups that contain H with prime index, as of len(masks) == seen
+        over, seen = 0, -1
         for a in zuppos:
             if tried >> a & 1:
+                continue
+            if seen != len(masks):
+                seen = len(masks)
+                above = reduce(or_, [of_order.get(p * order, 0) for p in primes])
+                over = reduce(and_, [holds[x] for x in base_gens], above)
+            # a found K holds H and a with |K:H| prime, so H < <H, a> <= K gives <H, a> = K;
+            # there is at most one such K, and every element of K outside H gives it too
+            known = holds[a] & over
+            if known:
+                tried |= masks[known.bit_length() - 1]
                 continue
             # H*a*H is the cosets H*(a*h); for normal H it is H*a, and every H*a^x counts
             for t in conjugates(a) if normal else [mul[a][h] for h in base]:

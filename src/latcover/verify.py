@@ -221,7 +221,7 @@ def verify_theorem1(catalog: tuple[str, ...] | list[str] = CATALOG) -> SuiteResu
         cases.append(_case(spec, "is-p-group", True, a.profile.is_p_group))
         for x in bps:
             o = view.orders[x]
-            count = sum(1 for s in a.lattice.subs if s.order == o)
+            count = len(a.lattice.of_order(o))
             size = len(a.classes.classes[view.payload[x]])
             cases.append(_case(spec, f"order-{o}-subgroup-unique", 1, count))
             cases.append(_case(spec, f"order-{o}-class-size-one", 1, size))
@@ -298,7 +298,7 @@ def _qualifying_primes(a: Analysis) -> list[tuple[int, int, int]]:
         comp = p_complement(a.group, a.lattice, p)
         if comp is None:
             continue
-        small = next(i for i, s in enumerate(a.lattice.subs) if s.order == p)
+        small = a.lattice.of_order(p)[0]
         out.append((p, a.lattice.index_of(comp), small))
     return out
 
@@ -339,8 +339,8 @@ def verify_theorem6_and_corollaries() -> SuiteResult:
     # pair: Klein four-group above, a three-cycle subgroup below
     a4 = analyze_spec("A4")
     view4 = a4.posets["Lbar"]
-    v4 = next(i for i, s in enumerate(a4.lattice.subs) if s.order == 4)
-    c3 = next(i for i, s in enumerate(a4.lattice.subs) if s.order == 3)
+    v4 = a4.lattice.of_order(4)[0]
+    c3 = a4.lattice.of_order(3)[0]
     m4 = a4.classes.class_of[v4]
     n4 = a4.classes.class_of[c3]
     cases.append(_case("A4", "in-class-c", True, in_class_c(a4)))

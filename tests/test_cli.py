@@ -273,6 +273,23 @@ def test_scan_unknown_family_is_exit_2(capsys):
     assert "unknown family" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "Q8", "--json"],
+        ["analyze", "Q8", "--dot"],
+        ["verify", "theorem1", "--json"],
+        ["scan", "--max-order", "8", "--families", "cyclic", "--csv"],
+        ["scan", "--max-order", "8", "--families", "cyclic", "--json"],
+    ],
+)
+def test_unwritable_output_is_exit_2(argv, tmp_path, capsys):
+    path = tmp_path / "missing" / "out"
+    assert main([*argv, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.strip() == f"error: cannot write {path}: No such file or directory"
+
+
 def test_build_report_counts_witnesses():
     a = analyze_spec("S3")
     rep = build_report(a, all_witnesses=True, elapsed_s=0.0)

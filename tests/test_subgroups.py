@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from latcover import subgroups
 from latcover.errors import SubgroupCapExceeded
 from latcover.groups import build_group, parse_spec
 from latcover.posets import KINDS, build_poset, two_interval_cover
@@ -166,6 +167,31 @@ def test_subset_bitrows_match_containment(spec):
         sa = set(a.elems)
         for j, b in enumerate(lat.subs):
             assert bool(lat.subset[i] >> j & 1) == sa.issubset(b.elems)
+
+
+@pytest.mark.parametrize("spec", ["C1", "S4", "Q16", "C2xC2xC2xD8", "C12"])
+def test_of_order_is_the_order_filter(spec):
+    lat = analyze_spec(spec).lattice
+    for k in range(lat.group.order + 2):
+        assert list(lat.of_order(k)) == [i for i, s in enumerate(lat.subs) if s.order == k]
+
+
+# the closures enumeration runs, pinned so that a lost skip shows; in an
+# elementary abelian group every <H, a> has prime index over H, so each
+# nontrivial subgroup costs one closure
+@pytest.mark.parametrize("spec,subs,closures", [("C2xC2xC2xC2xC2xC2", 2825, 2824), ("C2xC2xC2xD8", 937, 1537)])
+def test_enumeration_closure_count(spec, subs, closures, monkeypatch):
+    calls = 0
+    extend = subgroups._extend
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return extend(*args)
+
+    monkeypatch.setattr(subgroups, "_extend", counted)
+    assert len(enumerate_subgroups(build_group(spec)).subs) == subs
+    assert calls == closures
 
 
 # D16 has exactly 19 subgroups
