@@ -2,11 +2,15 @@
 
 Exit codes: 0 success, 1 a verification suite failed, 2 bad usage (a
 cap below 1 included), an invalid spec or a --json/--csv/--dot path that
-cannot be written, 3 an order or subgroup cap was exceeded.
+cannot be written, 3 an order or subgroup cap was exceeded.  One map in
+main gives the code of each error a command raises.
 Environment variables LATCOVER_MAX_ORDER, LATCOVER_MAX_SUBGROUPS,
 LATCOVER_POSET and LATCOVER_ALL_WITNESSES override the matching option
 defaults.  Stdout is for humans; machine-readable output goes to
---json/--csv paths only.
+--json/--csv paths only.  Each JSON payload takes its keys, in order,
+from the fields of one dataclass: AnalysisReport and CaseResult by field
+name, ScanRow through SCAN_KEYS.  The scan CSV and stdout table share
+one list of cells per row.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Any
 
@@ -26,59 +30,35 @@ from .errors import OrderCapExceeded, SpecInvalid, SubgroupCapExceeded
 from .groups import DEFAULT_MAX_ORDER
 from .posets import KINDS, PosetView, breaking_points, hasse_edges, two_interval_cover
 from .subgroups import DEFAULT_MAX_SUBGROUPS
-from .verify import Analysis, ScanRow, analyze_spec, run_suites, scan_class_c
+from .verify import SCAN_KEYS, Analysis, ScanRow, analyze_spec, run_suites, scan_class_c
 
-SCAN_HEADER = (
-    "spec",
-    "order",
-    "n_subgroups",
-    "n_classes",
-    "bp_L",
-    "bp_Lbar",
-    "bp_C",
-    "bp_Cbar",
-    "in_C",
-    "witnesses",
-)
+# the CSV and table columns; a skipped row shows its reason in the last one
+SCAN_HEADER = SCAN_KEYS[:10]
+_SCAN_COLUMNS = [f.name for f in fields(ScanRow)][: len(SCAN_HEADER)]
 
 
 @dataclass(frozen=True)
 class PosetSummary:
     kind: str
     elements: int
-    breaking_points: tuple[str, ...]
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "elements": self.elements,
-            "breaking_points": list(self.breaking_points),
-        }
-
+    breaking_points: list[str]
 
 
 @dataclass(frozen=True)
 class ClassCReport:
     member: bool
-    witness_m: tuple[str, ...] | None = None
-    witness_n: tuple[str, ...] | None = None
+    witness_m: list[str] | None = None
+    witness_n: list[str] | None = None
     witness_count: int | None = None
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "member": self.member,
-            "witness_m": None if self.witness_m is None else list(self.witness_m),
-            "witness_n": None if self.witness_n is None else list(self.witness_n),
-            "witness_count": self.witness_count,
-        }
-
 
 
 @dataclass(frozen=True)
 class AnalysisReport:
+    """The analyze --json payload: its keys are the field names, in field order."""
+
     spec: str
     order: int
-    primes: tuple[int, ...]
+    primes: list[int]
     is_abelian: bool
     is_cyclic: bool
     is_solvable: bool
@@ -86,27 +66,12 @@ class AnalysisReport:
     is_generalized_quaternion: bool
     n_subgroups: int
     n_classes: int
-    posets: tuple[PosetSummary, ...]
+    posets: list[PosetSummary]
     class_c: ClassCReport
     elapsed_s: float
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "spec": self.spec,
-            "order": self.order,
-            "primes": list(self.primes),
-            "is_abelian": self.is_abelian,
-            "is_cyclic": self.is_cyclic,
-            "is_solvable": self.is_solvable,
-            "is_nilpotent": self.is_nilpotent,
-            "is_generalized_quaternion": self.is_generalized_quaternion,
-            "n_subgroups": self.n_subgroups,
-            "n_classes": self.n_classes,
-            "posets": [s.to_dict() for s in self.posets],
-            "class_c": self.class_c.to_dict(),
-            "elapsed_s": self.elapsed_s,
-        }
-
+        return asdict(self)
 
 
 def build_report(a: Analysis, all_witnesses: bool, elapsed_s: float) -> AnalysisReport:
@@ -114,7 +79,7 @@ def build_report(a: Analysis, all_witnesses: bool, elapsed_s: float) -> Analysis
     for kind in KINDS:
         view = a.posets[kind]
         bps = breaking_points(view)
-        summaries.append(PosetSummary(kind, view.size, tuple(view.labels[x] for x in bps)))
+        summaries.append(PosetSummary(kind, view.size, [view.labels[x] for x in bps]))
     view = a.posets["Lbar"]
     w = two_interval_cover(view, find_all=all_witnesses)
     if w is None:
@@ -126,15 +91,15 @@ def build_report(a: Analysis, all_witnesses: bool, elapsed_s: float) -> Analysis
         count = len(w.all_pairs) if all_witnesses else None
         cc = ClassCReport(
             True,
-            tuple(labels[e] for e in m_rep.elems),
-            tuple(labels[e] for e in n_rep.elems),
+            [labels[e] for e in m_rep.elems],
+            [labels[e] for e in n_rep.elems],
             count,
         )
     pr = a.profile
     return AnalysisReport(
         spec=a.spec,
         order=a.group.order,
-        primes=pr.primes,
+        primes=list(pr.primes),
         is_abelian=pr.is_abelian,
         is_cyclic=pr.is_cyclic,
         is_solvable=pr.is_solvable,
@@ -142,7 +107,7 @@ def build_report(a: Analysis, all_witnesses: bool, elapsed_s: float) -> Analysis
         is_generalized_quaternion=pr.is_generalized_quaternion,
         n_subgroups=len(a.lattice.subs),
         n_classes=len(a.classes.classes),
-        posets=tuple(summaries),
+        posets=summaries,
         class_c=cc,
         elapsed_s=elapsed_s,
     )
@@ -168,19 +133,17 @@ def _cell(v: Any) -> str:
 
 
 def _scan_cells(r: ScanRow) -> list[str]:
-    wit = f"skipped:{r.skipped}" if r.skipped is not None else str(r.witnesses)
-    return [
-        r.spec,
-        str(r.order),
-        _cell(r.n_subgroups),
-        _cell(r.n_classes),
-        _cell(r.bp_l),
-        _cell(r.bp_lbar),
-        _cell(r.bp_c),
-        _cell(r.bp_cbar),
-        _cell(r.in_c),
-        wit,
-    ]
+    cells = [_cell(getattr(r, name)) for name in _SCAN_COLUMNS]
+    if r.skipped is not None:
+        cells[-1] = f"skipped:{r.skipped}"
+    return cells
+
+
+def _aligned(rows: list[list[str]]) -> str:
+    """Rows as text lines, every column but the last padded to its widest cell."""
+    widths = [max(map(len, column)) for column in zip(*rows)][:-1]
+    lines = ("  ".join([*(c.ljust(w) for c, w in zip(row, widths)), row[-1]]).rstrip() for row in rows)
+    return "".join(line + "\n" for line in lines)
 
 
 def scan_rows_csv(rows: list[ScanRow]) -> str:
@@ -194,13 +157,7 @@ def scan_rows_csv(rows: list[ScanRow]) -> str:
 
 def scan_rows_table(rows: list[ScanRow]) -> str:
     """The same cells as the CSV, padded into an aligned text table."""
-    table = [list(SCAN_HEADER)] + [_scan_cells(r) for r in rows]
-    widths = [max(len(row[i]) for row in table) for i in range(len(SCAN_HEADER))]
-    lines = [
-        "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
-        for row in table
-    ]
-    return "\n".join(lines) + "\n"
+    return _aligned([list(SCAN_HEADER)] + [_scan_cells(r) for r in rows])
 
 
 class _Unwritable(Exception):
@@ -224,14 +181,7 @@ def _fmt_flag(v: bool) -> str:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
-    try:
-        a = analyze_spec(args.spec, args.max_order, args.max_subgroups)
-    except SpecInvalid as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OrderCapExceeded, SubgroupCapExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    a = analyze_spec(args.spec, args.max_order, args.max_subgroups)
     # the queries build_report runs count towards the elapsed time
     report = build_report(a, args.all_witnesses, 0.0)
     report = replace(report, elapsed_s=time.perf_counter() - t0)
@@ -267,25 +217,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        results = run_suites(tuple(args.suites))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OrderCapExceeded, SubgroupCapExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    results = run_suites(tuple(args.suites))
     rows = []
     for sr in results:
         for c in sr.cases:
             detail = "" if c.ok else f"expected={c.expected!r} computed={c.computed!r}"
-            rows.append((sr.name, c.group, c.claim, "pass" if c.ok else "FAIL", detail))
-    widths = [max(len(r[i]) for r in rows) for i in range(4)] if rows else [0, 0, 0, 0]
-    for row in rows:
-        line = "  ".join(row[i].ljust(widths[i]) for i in range(4)).rstrip()
-        if row[4]:
-            line += f"  {row[4]}"
-        print(line)
+            rows.append([sr.name, c.group, c.claim, "pass" if c.ok else "FAIL", detail])
+    sys.stdout.write(_aligned(rows))
     for sr in results:
         good = sum(1 for c in sr.cases if c.ok)
         mark = "pass" if sr.passed else "FAIL"
@@ -300,11 +238,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_scan(args: argparse.Namespace) -> int:
     families = tuple(args.families.split(",")) if args.families else None
-    try:
-        rows = scan_class_c(args.max_order, families, args.max_subgroups)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    rows = scan_class_c(args.max_order, families, args.max_subgroups)
     if args.csv:
         _write(args.csv, scan_rows_csv(rows))
     if args.json:
@@ -401,21 +335,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the exit code of each error a command reports as "error: <message>"
+_EXIT_CODES = {
+    SpecInvalid: 2,
+    ValueError: 2,
+    _Unwritable: 2,
+    OrderCapExceeded: 3,
+    SubgroupCapExceeded: 3,
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
-        parser = _build_parser()
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
-    except _Unwritable as exc:
+    except SystemExit as exc:  # from argparse, which has printed its usage message
+        return exc.code if isinstance(exc.code, int) else 2
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 def entrypoint() -> None:

@@ -56,18 +56,9 @@ def closure(g: GroupTable, seed: tuple[int, ...] | list[int]) -> Subgroup:
         if not 0 <= s < n:
             raise ValueError(f"seed element {s} out of range for order {n}")
         if not mask >> s & 1:
-            elems, mask = _extend(g, elems, mask, gens, s, _whole_past(n, primes_of(n // len(elems))))
+            elems, mask = _extend(g, elems, mask, gens, s, n // primes_of(n // len(elems))[0])
             gens.append(s)
     return Subgroup(tuple(sorted(elems)))
-
-
-def _whole_past(n: int, index_primes: list[int]) -> int:
-    """The largest proper divisor of n that h divides, from the primes of n // h, for a proper divisor h of n.
-
-    A subgroup strictly between one of order h and the whole group has an
-    order that h divides and that divides n, so it is no larger than this.
-    """
-    return n // index_primes[0]
 
 
 def _extend(
@@ -79,10 +70,12 @@ def _extend(
     H*1, every coset representative r and every s in gens + [a] give
     t = r*s, and the whole coset H*t is added unless t is already in.
     The result is closed under right multiplication by the generators,
-    so it is the subgroup.  limit is the bound _whole_past gives for |G|
-    and |H|: once more elements than that are in, the only order left
-    for <H, a> is |G|, and the whole group is returned at once.  The
-    inputs are not mutated.
+    so it is the subgroup.  limit is |G|/p for the least prime p of
+    |G:H|: a subgroup strictly between H and G has an order that |H|
+    divides and that divides |G|, so it is at most that large.  Once
+    more elements than limit are in, the only order left for <H, a> is
+    |G|, and the whole group is returned at once.  The inputs are not
+    mutated.
     """
     n = g.order
     mul = g.mul
@@ -257,7 +250,7 @@ def enumerate_subgroups(g: GroupTable, max_subgroups: int = DEFAULT_MAX_SUBGROUP
         if order == n:
             continue
         primes = primes_of(n // order)
-        limit = _whole_past(n, primes)
+        limit = n // primes[0]
         tried = base_mask  # a union of right cosets H*t
         # found subgroups that contain H with prime index, as of len(masks) == seen
         over, seen = 0, -1

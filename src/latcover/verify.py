@@ -8,7 +8,7 @@ the command-line interface and stay fixed even if cases are added.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from typing import Any, Callable
 
@@ -38,6 +38,7 @@ from .structure import (
 from .subgroups import (
     DEFAULT_MAX_SUBGROUPS,
     ConjClassPoset,
+    Subgroup,
     SubgroupLattice,
     closure,
     conjugacy_classes,
@@ -152,15 +153,10 @@ class CaseResult:
     witness: Any = None
 
     def to_dict(self) -> dict[str, Any]:
-        d: dict[str, Any] = {
-            "group": self.group,
-            "claim": self.claim,
-            "expected": self.expected,
-            "computed": self.computed,
-            "ok": self.ok,
-        }
-        if self.witness is not None:
-            d["witness"] = self.witness
+        # getattr, not asdict: asdict deep-copies every witness
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        if self.witness is None:
+            del d["witness"]
         return d
 
 
@@ -183,6 +179,20 @@ class SuiteResult:
 
 def _case(group: str, claim: str, expected: Any, computed: Any, witness: Any = None) -> CaseResult:
     return CaseResult(group, claim, expected, computed, expected == computed, witness)
+
+
+def _class_node(a: Analysis, sub: Subgroup | tuple[int, ...]) -> int:
+    """The Lbar node of the conjugacy class of a subgroup of a.group."""
+    return a.classes.class_of[a.lattice.index_of(sub)]
+
+
+def _cover_case(
+    a: Analysis, group: str, claim: str, m_sub: Subgroup | tuple[int, ...], n_sub: Subgroup | tuple[int, ...]
+) -> CaseResult:
+    """Whether the intervals above the class of m_sub and below that of n_sub cover Lbar."""
+    view = a.posets["Lbar"]
+    m, n = _class_node(a, m_sub), _class_node(a, n_sub)
+    return _case(group, claim, True, cover_holds(view, m, n), witness={"m": view.labels[m], "n": view.labels[n]})
 
 
 def verify_theorem1(catalog: tuple[str, ...] | list[str] = CATALOG) -> SuiteResult:
@@ -249,7 +259,7 @@ def verify_prop4_prop5() -> SuiteResult:
     cases = []
     for spec, p, n in _MODULAR:
         a = analyze_spec(spec)
-        g, lat, ccp = a.group, a.lattice, a.classes
+        g, lat = a.group, a.lattice
         view = a.posets["Lbar"]
         w = two_interval_cover(view, find_all=True)
         cases.append(_case(spec, "in-class-c", True, w is not None))
@@ -258,24 +268,14 @@ def verify_prop4_prop5() -> SuiteResult:
         # generators sit at fixed word indices: x at p, y at 1
         xp = p * p
         xq = p ** (n - 2) * p
-        m_named = ccp.class_of[lat.index_of(closure(g, (xp, 1)))]
-        n_named = ccp.class_of[lat.index_of(closure(g, (xq,)))]
-        cases.append(
-            _case(
-                spec,
-                "named-pair-covers",
-                True,
-                cover_holds(view, m_named, n_named),
-                witness={"m": view.labels[m_named], "n": view.labels[n_named]},
-            )
-        )
-        cases.append(_case(spec, "named-pair-among-witnesses", True, (m_named, n_named) in w.all_pairs))
+        m_named, n_named = closure(g, (xp, 1)), closure(g, (xq,))
+        cases.append(_cover_case(a, spec, "named-pair-covers", m_named, n_named))
+        named = (_class_node(a, m_named), _class_node(a, n_named))
+        cases.append(_case(spec, "named-pair-among-witnesses", True, named in w.all_pairs))
         om = omega1(g, lat, p)
         ph = frattini(g, lat)
-        om_cls = ccp.class_of[lat.index_of(om)]
-        ph_cls = ccp.class_of[lat.index_of(ph)]
-        cases.append(_case(spec, "first-witness-m-contains-omega1", True, view.le(om_cls, w.m_idx)))
-        cases.append(_case(spec, "first-witness-n-inside-frattini", True, view.le(w.n_idx, ph_cls)))
+        cases.append(_case(spec, "first-witness-m-contains-omega1", True, view.le(_class_node(a, om), w.m_idx)))
+        cases.append(_case(spec, "first-witness-n-inside-frattini", True, view.le(w.n_idx, _class_node(a, ph))))
         cases.append(_case(spec, "derived-subgroup-order", p, derived_subgroup(g).order))
         cases.append(_case(spec, "omega1-order", p * p, om.order))
         cases.append(_case(spec, "frattini-generated-by-x-p", True, ph.elems == closure(g, (xp,)).elems))
@@ -286,10 +286,10 @@ def verify_prop4_prop5() -> SuiteResult:
     return SuiteResult("prop4-5", cases)
 
 
-def _qualifying_primes(a: Analysis) -> list[tuple[int, int, int]]:
+def _qualifying_primes(a: Analysis) -> list[tuple[int, Subgroup, Subgroup]]:
     """Primes with a single class of order-p subgroups and a p-complement.
 
-    Returns (p, complement subgroup index, order-p subgroup index) triples.
+    Returns (p, complement, order-p subgroup) triples.
     """
     out = []
     for p in a.profile.primes:
@@ -298,8 +298,7 @@ def _qualifying_primes(a: Analysis) -> list[tuple[int, int, int]]:
         comp = p_complement(a.group, a.lattice, p)
         if comp is None:
             continue
-        small = a.lattice.of_order(p)[0]
-        out.append((p, a.lattice.index_of(comp), small))
+        out.append((p, comp, a.lattice.subs[a.lattice.of_order(p)[0]]))
     return out
 
 
@@ -309,24 +308,13 @@ def verify_theorem6_and_corollaries() -> SuiteResult:
     cases = []
     for spec in ("S3", "D10", "ZM(7,3,2)", "ZM(5,4,2)", "Q8xC3"):
         a = analyze_spec(spec)
-        view = a.posets["Lbar"]
         cases.append(_case(spec, "solvable", True, a.profile.is_solvable))
         cases.append(_case(spec, "at-least-two-primes", True, len(a.profile.primes) >= 2))
         cases.append(_case(spec, "in-class-c", True, in_class_c(a)))
         quals = _qualifying_primes(a)
         cases.append(_case(spec, "has-qualifying-prime", True, bool(quals)))
         for p, comp, small in quals:
-            m_node = a.classes.class_of[comp]
-            n_node = a.classes.class_of[small]
-            cases.append(
-                _case(
-                    spec,
-                    f"complement-cover-p{p}",
-                    True,
-                    cover_holds(view, m_node, n_node),
-                    witness={"m": view.labels[m_node], "n": view.labels[n_node]},
-                )
-            )
+            cases.append(_cover_case(a, spec, f"complement-cover-p{p}", comp, small))
     for spec in ("ZM(7,3,2)", "ZM(5,4,2)"):
         a = analyze_spec(spec)
         allcyc = all(
@@ -338,21 +326,10 @@ def verify_theorem6_and_corollaries() -> SuiteResult:
     # the four-point alternating group lands in the class with the classical
     # pair: Klein four-group above, a three-cycle subgroup below
     a4 = analyze_spec("A4")
-    view4 = a4.posets["Lbar"]
-    v4 = a4.lattice.of_order(4)[0]
-    c3 = a4.lattice.of_order(3)[0]
-    m4 = a4.classes.class_of[v4]
-    n4 = a4.classes.class_of[c3]
+    v4 = a4.lattice.subs[a4.lattice.of_order(4)[0]]
+    c3 = a4.lattice.subs[a4.lattice.of_order(3)[0]]
     cases.append(_case("A4", "in-class-c", True, in_class_c(a4)))
-    cases.append(
-        _case(
-            "A4",
-            "klein-over-three-cycle-covers",
-            True,
-            cover_holds(view4, m4, n4),
-            witness={"m": view4.labels[m4], "n": view4.labels[n4]},
-        )
-    )
+    cases.append(_cover_case(a4, "A4", "klein-over-three-cycle-covers", v4, c3))
     # solvability matters: the smallest nonsolvable group stays out
     a5 = analyze_spec("A5")
     cases.append(
@@ -405,18 +382,7 @@ def verify_theorem9() -> SuiteResult:
         n_elems = a1.lattice.subs[a1.classes.rep[view1.payload[w.n_idx]]].elems
         lifted_m = tuple(sorted(e * n2 + j for e in m_elems for j in range(n2)))
         lifted_n = tuple(e * n2 for e in n_elems)
-        m_node = ap.classes.class_of[ap.lattice.index_of(lifted_m)]
-        n_node = ap.classes.class_of[ap.lattice.index_of(lifted_n)]
-        view = ap.posets["Lbar"]
-        cases.append(
-            _case(
-                prod_spec,
-                "lifted-pair-covers",
-                True,
-                cover_holds(view, m_node, n_node),
-                witness={"m": view.labels[m_node], "n": view.labels[n_node]},
-            )
-        )
+        cases.append(_cover_case(ap, prod_spec, "lifted-pair-covers", lifted_m, lifted_n))
         cases.append(_case(prod_spec, "in-class-c", True, in_class_c(ap)))
     cases.append(_case("C6", "in-class-c", True, in_class_c(analyze_spec("C6"))))
     for spec in ("C2", "C3"):
@@ -532,6 +498,26 @@ def _family_specs(family: str, max_order: int) -> list[str]:
     raise ValueError(f"unknown family {family!r}; choose from {', '.join(FAMILY_NAMES)}")
 
 
+# the payload key of each ScanRow field, in field order; CSV and table show the first ten
+SCAN_KEYS = (
+    "spec",
+    "order",
+    "n_subgroups",
+    "n_classes",
+    "bp_L",
+    "bp_Lbar",
+    "bp_C",
+    "bp_Cbar",
+    "in_C",
+    "witnesses",
+    "is_abelian",
+    "is_cyclic",
+    "is_nilpotent",
+    "is_solvable",
+    "skipped",
+)
+
+
 @dataclass(frozen=True)
 class ScanRow:
     spec: str
@@ -551,23 +537,11 @@ class ScanRow:
     skipped: str | None = None
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "spec": self.spec,
-            "order": self.order,
-            "n_subgroups": self.n_subgroups,
-            "n_classes": self.n_classes,
-            "bp_L": self.bp_l,
-            "bp_Lbar": self.bp_lbar,
-            "bp_C": self.bp_c,
-            "bp_Cbar": self.bp_cbar,
-            "in_C": self.in_c,
-            "witnesses": self.witnesses,
-            "is_abelian": self.is_abelian,
-            "is_cyclic": self.is_cyclic,
-            "is_nilpotent": self.is_nilpotent,
-            "is_solvable": self.is_solvable,
-            "skipped": self.skipped,
-        }
+        # getattr, not asdict: asdict deep-copies every value
+        return {key: getattr(self, name) for key, name in _SCAN_FIELDS}
+
+
+_SCAN_FIELDS = tuple(zip(SCAN_KEYS, [f.name for f in fields(ScanRow)], strict=True))
 
 
 def scan_class_c(

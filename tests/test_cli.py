@@ -50,6 +50,24 @@ def test_analyze_json_roundtrip(tmp_path, capsys):
     assert loaded["class_c"]["member"] is True
     assert loaded["class_c"]["witness_count"] >= 1
     assert loaded == build_report(analyze_spec("Q16"), True, loaded["elapsed_s"]).to_dict()
+    assert list(loaded) == [
+        "spec",
+        "order",
+        "primes",
+        "is_abelian",
+        "is_cyclic",
+        "is_solvable",
+        "is_nilpotent",
+        "is_generalized_quaternion",
+        "n_subgroups",
+        "n_classes",
+        "posets",
+        "class_c",
+        "elapsed_s",
+    ]
+    for summary in loaded["posets"]:
+        assert list(summary) == ["kind", "elements", "breaking_points"]
+    assert list(loaded["class_c"]) == ["member", "witness_m", "witness_n", "witness_count"]
 
 
 def test_analyze_elapsed_includes_the_queries(tmp_path, capsys, monkeypatch):

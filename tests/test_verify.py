@@ -183,6 +183,23 @@ def test_scan_marks_capped_rows_skipped():
 def test_scan_row_dict_keys():
     row = scan_class_c(8, ("dicyclic",))[0]
     d = row.to_dict()
+    assert list(d) == [
+        "spec",
+        "order",
+        "n_subgroups",
+        "n_classes",
+        "bp_L",
+        "bp_Lbar",
+        "bp_C",
+        "bp_Cbar",
+        "in_C",
+        "witnesses",
+        "is_abelian",
+        "is_cyclic",
+        "is_nilpotent",
+        "is_solvable",
+        "skipped",
+    ]
     assert d["spec"] == "Q8"
     assert d["in_C"] is True
     assert d["witnesses"] == 4
