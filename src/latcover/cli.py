@@ -86,8 +86,7 @@ def build_report(a: Analysis, all_witnesses: bool, elapsed_s: float) -> Analysis
         cc = ClassCReport(False, None, None, 0 if all_witnesses else None)
     else:
         labels = a.group.labels
-        m_rep = a.lattice.subs[a.classes.rep[view.payload[w.m_idx]]]
-        n_rep = a.lattice.subs[a.classes.rep[view.payload[w.n_idx]]]
+        m_rep, n_rep = a.class_rep(w.m_idx), a.class_rep(w.n_idx)
         count = len(w.all_pairs) if all_witnesses else None
         cc = ClassCReport(
             True,

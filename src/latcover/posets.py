@@ -3,8 +3,10 @@
 Four views share one representation: L (all subgroups), Lbar (classes
 of subgroups), C (cyclic subgroups), Cbar (classes of cyclic
 subgroups).  Order relations are bitrows: bit j of leq[i] means node i
-lies below node j.  For C and Cbar the whole group is absent unless it
-is itself cyclic, so those views may have no top.
+lies below node j.  build_poset derives every view's rows from the
+lattice's containment rows, so the order on classes lives only in the
+Lbar and Cbar views.  For C and Cbar the whole group is absent unless
+it is itself cyclic, so those views may have no top.
 
 Every view lists its nodes by ascending order (subgroups by (order,
 elements), classes by their least member), and a node lies below only
@@ -29,23 +31,6 @@ def subgroup_is_cyclic(g: GroupTable, sub: Subgroup) -> bool:
     return any(orders[e] == sub.order for e in sub.elems)
 
 
-def _restrict(rows: list[int], keep: list[int]) -> list[int]:
-    pos = {v: k for k, v in enumerate(keep)}
-    kept = 0
-    for i in keep:
-        kept |= 1 << i
-    out = []
-    for i in keep:
-        r = rows[i] & kept
-        nr = 0
-        while r:
-            j = (r & -r).bit_length() - 1
-            nr |= 1 << pos[j]
-            r &= r - 1
-        out.append(nr)
-    return out
-
-
 @dataclass
 class PosetView:
     """One of the four poset views, with a fixed node order."""
@@ -67,17 +52,43 @@ class PosetView:
 
 
 def build_poset(lat: SubgroupLattice, ccp: ConjClassPoset, kind: str) -> PosetView:
+    """One view of the lattice; the only place a view's leq is derived from lat.subset.
+
+    A node is a subgroup (L, C) or a class (Lbar, Cbar), and C and Cbar
+    keep only the cyclic ones.  Node x lies below node y when some
+    member of y contains the representative of x: the bits of
+    lat.subset[rep(x)] that fall on kept subgroups, each mapped to its
+    node.  Node 0 is the trivial subgroup, the bottom; since the node
+    order is a linear extension, the whole group is the last node, the
+    top, when it is kept.
+    """
     if kind not in KINDS:
         raise ValueError(f"unknown poset kind {kind!r}, expected one of {KINDS}")
     by_class = kind in ("Lbar", "Cbar")
-    rows = ccp.leq if by_class else lat.subset
     reps = ccp.rep if by_class else range(len(lat.subs))
-    bottom, top = (ccp.bottom_idx, ccp.top_idx) if by_class else (lat.trivial_idx, lat.full_idx)
     if kind in ("C", "Cbar"):
         keep = [i for i, r in enumerate(reps) if lat.cyclic[r]]
     else:
-        keep = list(range(len(rows)))
-    pos = {v: k for k, v in enumerate(keep)}
+        keep = list(range(len(reps)))
+    if len(keep) == len(lat.subs):
+        # every node is one subgroup and none is dropped: node i is subgroup i
+        leq = list(lat.subset)
+    else:
+        node = [0] * len(lat.subs)
+        inside = 0  # a bit for every subgroup that belongs to a kept node
+        for x, i in enumerate(keep):
+            for j in ccp.classes[i] if by_class else (i,):
+                node[j] = x
+                inside |= 1 << j
+        leq = []
+        for i in keep:
+            row = 0
+            above = lat.subset[reps[i]] & inside
+            while above:
+                j = (above & -above).bit_length() - 1
+                row |= 1 << node[j]
+                above &= above - 1
+            leq.append(row)
     orders = [lat.subs[reps[i]].order for i in keep]
     if by_class:
         labels = [f"o{o}×{len(ccp.classes[c])}" for o, c in zip(orders, keep)]
@@ -85,12 +96,12 @@ def build_poset(lat: SubgroupLattice, ccp: ConjClassPoset, kind: str) -> PosetVi
         labels = [f"o{o}" for o in orders]
     return PosetView(
         kind=kind,
-        leq=_restrict(rows, keep) if len(keep) < len(rows) else list(rows),
+        leq=leq,
         labels=labels,
         payload=keep,
         orders=orders,
-        bottom_idx=pos[bottom],
-        top_idx=pos.get(top),
+        bottom_idx=0,
+        top_idx=len(keep) - 1 if reps[keep[-1]] == lat.full_idx else None,
     )
 
 

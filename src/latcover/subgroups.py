@@ -11,19 +11,22 @@ step (Butler, LNCS 559, 1991), which adds whole right cosets of the
 subgroup being extended.  A zuppo is skipped when its extension is
 known already: a subgroup found before contains H and the zuppo with
 prime index over H, so by Lagrange it is the extension; or the zuppo
-lies in a double coset H*a*H of a zuppo a tried on the same H, or, for
-normal H, in H*c for a conjugate c of such an a.  With the first skip,
-an elementary abelian group runs one closure per subgroup.  A closure
-stops as soon as it is larger than every proper subgroup it could
-still be.  Conjugation orbits are collected under a small
-generating set of the group rather than all of it.
+lies in a double coset H*a*H of a zuppo a tried on the same H.  With
+the first skip, an elementary abelian group runs one closure per
+subgroup.  A closure stops as soon as it is larger than every proper
+subgroup it could still be.  Conjugation orbits are collected under a
+small generating set of the group rather than all of it.
+
+conjugacy_classes turns the orbits into a plain partition of the
+listing; the order on classes is derived with every other view's order
+in posets.build_poset.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from functools import cache, cached_property, reduce
+from functools import cached_property, reduce
 from operator import and_, or_
 
 from .errors import SubgroupCapExceeded
@@ -106,18 +109,6 @@ def _zuppos(g: GroupTable) -> list[int]:
     return [a for a in range(1, g.order) if least[a] == a and prime_power[orders[a]]]
 
 
-def _orbit(a: int, tables: list[list[int]]) -> list[int]:
-    """The elements a is carried to by the given permutations of 0..n-1 and their products, a first."""
-    out, seen = [a], 1 << a
-    for x in out:  # grows as images are found
-        for t in tables:
-            y = t[x]
-            if not seen >> y & 1:
-                seen |= 1 << y
-                out.append(y)
-    return out
-
-
 def conjugate_subgroup(g: GroupTable, sub: Subgroup, x: int) -> Subgroup:
     """The subgroup x^-1 * sub * x."""
     mul = g.mul
@@ -146,7 +137,7 @@ class SubgroupLattice:
     subset is a bitrow per subgroup: bit j of subset[i] means subs[i] is
     contained in subs[j].  orbit[i] numbers the conjugation orbit of
     subs[i] in the order enumeration found them; conjugacy_classes turns
-    these numbers into the class poset.
+    these numbers into the partition into classes.
     """
 
     group: GroupTable
@@ -202,12 +193,10 @@ def enumerate_subgroups(g: GroupTable, max_subgroups: int = DEFAULT_MAX_SUBGROUP
     runs and all of K counts as tried on H.  Bitrows over the found
     subgroups, one per zuppo and one per order, find such a K with a
     few big-integer ANDs.  Otherwise, after a is tried on H, so is the
-    double coset H*a*H, since <H, h*a*h'> = <H, a>.  When H is normal,
-    which is exactly when its orbit is H alone, so is H*c for every
-    conjugate c = a^x, since <H, c> = <H, a>^x lies in the orbit
-    already found.  No skip changes the order in which new subgroups
-    are found, so the orbit numbers and the subgroup at which the cap
-    trips stay those of the plain search.
+    double coset H*a*H, since <H, h*a*h'> = <H, a>.  No skip changes
+    the order in which new subgroups are found, so the orbit numbers
+    and the subgroup at which the cap trips stay those of the plain
+    search.
     """
     n = g.order
     mul = g.mul
@@ -219,11 +208,9 @@ def enumerate_subgroups(g: GroupTable, max_subgroups: int = DEFAULT_MAX_SUBGROUP
     ident = list(range(n))
     tables = [t for t in ([mul[mul[inv[x]][h]][x] for h in range(n)] for x in g.generators) if t != ident]
 
-    # mask -> (elements, orbit number); reps[k] is (elements, mask, generators, normal) of orbit k
+    # mask -> (elements, orbit number); reps[k] is (elements, mask, generators) of orbit k
     found: dict[int, tuple[list[int], int]] = {}
-    reps: list[tuple[list[int], int, list[int], bool]] = [([0], 1, [], True)]
-    # a zuppo's conjugacy class of elements, walked when a normal H first needs it
-    conjugates = cache(lambda a: _orbit(a, tables))
+    reps: list[tuple[list[int], int, list[int]]] = [([0], 1, [])]
     # masks[d] is the d-th subgroup found; bit d of holds[z] means it contains
     # zuppo z, and bit d of of_order[o] that its order is o
     masks: list[int] = []
@@ -245,7 +232,7 @@ def enumerate_subgroups(g: GroupTable, max_subgroups: int = DEFAULT_MAX_SUBGROUP
 
     add([0], 1, 0)  # the trivial subgroup counts against the cap too
 
-    for base, base_mask, base_gens, normal in reps:  # grows as new orbits are found
+    for base, base_mask, base_gens in reps:  # grows as new orbits are found
         order = len(base)
         if order == n:
             continue
@@ -267,8 +254,8 @@ def enumerate_subgroups(g: GroupTable, max_subgroups: int = DEFAULT_MAX_SUBGROUP
             if known:
                 tried |= masks[known.bit_length() - 1]
                 continue
-            # H*a*H is the cosets H*(a*h); for normal H it is H*a, and every H*a^x counts
-            for t in conjugates(a) if normal else [mul[a][h] for h in base]:
+            # H*a*H is the cosets H*(a*h)
+            for t in [mul[a][h] for h in base]:
                 if not tried >> t & 1:
                     for h in base:
                         tried |= 1 << mul[h][t]
@@ -288,7 +275,7 @@ def enumerate_subgroups(g: GroupTable, max_subgroups: int = DEFAULT_MAX_SUBGROUP
                     if m not in found:
                         add(c, m, k)
                         orbit.append(c)
-            reps.append((elems, mask, [*base_gens, a], len(orbit) == 1))
+            reps.append((elems, mask, [*base_gens, a]))
 
     ordered = sorted(
         ((sorted(elems), mask, k) for mask, (elems, k) in found.items()),
@@ -315,19 +302,18 @@ def enumerate_subgroups(g: GroupTable, max_subgroups: int = DEFAULT_MAX_SUBGROUP
 
 @dataclass
 class ConjClassPoset:
-    """Conjugacy classes of subgroups, ordered by contained-in-some-member.
+    """Conjugacy classes of subgroups, a partition of the lattice.
 
     classes[c] lists the subgroup indices of one enumeration orbit;
-    rep[c] is the least of them, and classes are numbered by rep.  Bit
-    c2 of leq[c1] means some member of c2 contains rep(c1).
+    rep[c] is the least of them, classes are numbered by rep, and
+    class_of maps each subgroup index to its class.  The order on
+    classes is not kept here: build_poset derives it for the Lbar and
+    Cbar views.
     """
 
     lattice: SubgroupLattice
     classes: list[tuple[int, ...]]
     rep: list[int]
-    leq: list[int]
-    bottom_idx: int
-    top_idx: int
     class_of: list[int]
 
     def __len__(self) -> int:
@@ -344,26 +330,4 @@ def conjugacy_classes(lat: SubgroupLattice) -> ConjClassPoset:
     for c, cls in enumerate(classes):
         for i in cls:
             class_of[i] = c
-    rep = [cls[0] for cls in classes]
-    if len(classes) == len(lat.subs):
-        # every orbit is one subgroup (always so when G is abelian): class c is subgroup c
-        leq = list(lat.subset)
-    else:
-        leq = []
-        for r in rep:
-            row = 0
-            above = lat.subset[r]
-            while above:
-                j = (above & -above).bit_length() - 1
-                row |= 1 << class_of[j]
-                above &= above - 1
-            leq.append(row)
-    return ConjClassPoset(
-        lattice=lat,
-        classes=classes,
-        rep=rep,
-        leq=leq,
-        bottom_idx=class_of[lat.trivial_idx],
-        top_idx=class_of[lat.full_idx],
-        class_of=class_of,
-    )
+    return ConjClassPoset(lattice=lat, classes=classes, rep=[cls[0] for cls in classes], class_of=class_of)

@@ -113,6 +113,10 @@ class Analysis:
     posets: dict[str, PosetView]
     profile: StructureProfile
 
+    def class_rep(self, node: int) -> Subgroup:
+        """The representative of the class at an Lbar node (Lbar node c is class c); inverse of _class_node."""
+        return self.lattice.subs[self.classes.rep[node]]
+
 
 def _analyze(spec: str, max_order: int, max_subgroups: int) -> Analysis:
     parsed = parse_spec(spec)
@@ -182,7 +186,7 @@ def _case(group: str, claim: str, expected: Any, computed: Any, witness: Any = N
 
 
 def _class_node(a: Analysis, sub: Subgroup | tuple[int, ...]) -> int:
-    """The Lbar node of the conjugacy class of a subgroup of a.group."""
+    """The Lbar node of the conjugacy class of a subgroup of a.group; the inverse of Analysis.class_rep."""
     return a.classes.class_of[a.lattice.index_of(sub)]
 
 
@@ -377,9 +381,8 @@ def verify_theorem9() -> SuiteResult:
         ap = analyze_spec(prod_spec)
         n2 = ap.group.order // a1.group.order
         cases.append(_case(prod_spec, "coprime-orders", 1, math.gcd(a1.group.order, n2)))
-        view1 = a1.posets["Lbar"]
-        m_elems = a1.lattice.subs[a1.classes.rep[view1.payload[w.m_idx]]].elems
-        n_elems = a1.lattice.subs[a1.classes.rep[view1.payload[w.n_idx]]].elems
+        m_elems = a1.class_rep(w.m_idx).elems
+        n_elems = a1.class_rep(w.n_idx).elems
         lifted_m = tuple(sorted(e * n2 + j for e in m_elems for j in range(n2)))
         lifted_n = tuple(e * n2 for e in n_elems)
         cases.append(_cover_case(ap, prod_spec, "lifted-pair-covers", lifted_m, lifted_n))

