@@ -4,20 +4,27 @@ Subgroups are stored as sorted element-index tuples plus a bitmask over
 0..order-1, and the full listing is sorted by (order, elements) so every
 index mentioned in reports is stable across runs.
 
-Enumeration is the cyclic extension method over zuppos (Neubüser 1960):
-each class representative is extended by one generator of every cyclic
-subgroup of prime-power order, and every closure is Dimino's coset-based
-step (Butler, LNCS 559, 1991), which adds whole right cosets of the
-subgroup being extended.  A zuppo is skipped when its extension is
-known already: a subgroup found before contains H and the zuppo with
-prime index over H, so by Lagrange it is the extension; or the zuppo
-lies in a double coset H*a*H of a zuppo a tried on the same H.  With
-the first skip, an elementary abelian group runs one closure per
-subgroup.  A closure stops as soon as it is larger than every proper
-subgroup it could still be.  Conjugation orbits are collected under a
-small generating set of the group rather than all of it.
+Enumeration is the cyclic extension method over zuppos (Neubüser 1960),
+the generators of cyclic subgroups of prime-power order, one class
+representative H at a time.  It first takes only normal steps of prime
+index (Holt, Eick and O'Brien, Handbook of Computational Group Theory,
+2005): a zuppo a that normalizes H and has a^p in H, for the prime p of
+its order, gives <H, a> as the p cosets H*a^i, with no closure loop.
+Those steps reach exactly the solvable subgroups, so they reach the
+whole group exactly when it is solvable, and the lattice records that.
+For any other group the search starts over and extends every
+representative by every zuppo, each closure being Dimino's coset-based
+step (Butler, LNCS 559, 1991), which adds whole right cosets of H and
+stops as soon as it is larger than every proper subgroup it could still
+be; a zuppo in a double coset H*a*H of a zuppo a tried on the same H is
+skipped there.  Both searches skip a zuppo when a subgroup found before
+contains H and the zuppo with prime index over H, since by Lagrange it
+is the extension; with that skip, an elementary abelian group builds
+each nontrivial subgroup once.  Conjugation orbits are collected under
+a small generating set of the group rather than all of it, and
+numbered by their least member in the listing.
 
-conjugacy_classes turns the orbits into a plain partition of the
+conjugacy_classes reads the orbit numbers as a plain partition of the
 listing; the order on classes is derived with every other view's order
 in posets.build_poset.
 """
@@ -135,17 +142,19 @@ class SubgroupLattice:
     """All subgroups of a group, ordered by inclusion.
 
     subset is a bitrow per subgroup: bit j of subset[i] means subs[i] is
-    contained in subs[j].  orbit[i] numbers the conjugation orbit of
-    subs[i] in the order enumeration found them; conjugacy_classes turns
-    these numbers into the partition into classes.
+    contained in subs[j].  orbit[i] is the class number of subs[i]:
+    orbits are numbered by their least member, so class numbers come
+    from the listing, not from the order in which the search found
+    them.  solvable tells whether the group is solvable, which the
+    prime-index search finds out on the way.
     """
 
     group: GroupTable
     subs: list[Subgroup]
     subset: list[int]
     orbit: list[int]
-    trivial_idx: int
     full_idx: int
+    solvable: bool
     _index: dict[int, int] = field(repr=False, default_factory=dict)
 
     def __len__(self) -> int:
@@ -177,40 +186,64 @@ class SubgroupLattice:
         return flags
 
 
-def enumerate_subgroups(g: GroupTable, max_subgroups: int = DEFAULT_MAX_SUBGROUPS) -> SubgroupLattice:
-    """Enumerate every subgroup of g together with its conjugation orbit.
+def _normal_extend(g: GroupTable, elems: list[int], mask: int, a: int, p: int) -> tuple[list[int], int]:
+    """Elements and mask of <H, a> = H + H*a + ... + H*a^(p-1), where H = elems.
 
-    Works one conjugacy class at a time: each orbit representative is
-    extended by every zuppo it lacks, and each new subgroup contributes
-    its whole conjugation orbit.  Extending only representatives reaches
-    all classes, since <H, a> conjugates to <H^x, a^x>; extending only by
-    zuppos reaches all subgroups, since every subgroup is generated by
-    its elements of prime-power order.
+    a lies outside H, normalizes it, and has a^p in H for a prime p, so
+    <H, a> = H*<a> holds H with index p and no closure loop is needed.
+    The inputs are not mutated.
+    """
+    mul = g.mul
+    base = elems
+    elems = list(base)
+    t = a
+    for _ in range(p - 1):
+        coset = [mul[h][t] for h in base]
+        elems += coset
+        mask += sum([1 << c for c in coset])  # the cosets are disjoint
+        t = mul[t][a]
+    return elems, mask
 
-    A zuppo is skipped when it is known to give a subgroup found before.
-    First, when a subgroup K found before contains H and a, and |K:H|
-    is prime, then H < <H, a> <= K forces <H, a> = K, so no closure
-    runs and all of K counts as tried on H.  Bitrows over the found
-    subgroups, one per zuppo and one per order, find such a K with a
-    few big-integer ANDs.  Otherwise, after a is tried on H, so is the
-    double coset H*a*H, since <H, h*a*h'> = <H, a>.  No skip changes
-    the order in which new subgroups are found, so the orbit numbers
-    and the subgroup at which the cap trips stay those of the plain
-    search.
+
+def _search(g: GroupTable, max_subgroups: int, normal: bool) -> dict[int, tuple[list[int], int]]:
+    """Subgroups found by cyclic extension, as mask -> (elements, orbit number in order found).
+
+    With normal set, a class representative H is extended only by the
+    zuppos a that normalize H and have a^p in H, for the prime p of
+    a's order, one coset H*a^i at a time; this reaches exactly the
+    solvable subgroups.  Without it, every zuppo is tried by Dimino's
+    closure, with the double-coset skip and the whole-group bound.
     """
     n = g.order
     mul = g.mul
     inv = g.inv
     zuppos = _zuppos(g)
-    zuppo_mask = reduce(or_, [1 << z for z in zuppos], 0)
+    is_zuppo = [False] * n
+    for z in zuppos:
+        is_zuppo[z] = True
 
-    # conjugation tables of the group's generators; central ones act trivially
-    ident = list(range(n))
-    tables = [t for t in ([mul[mul[inv[x]][h]][x] for h in range(n)] for x in g.generators) if t != ident]
+    # conjugation tables of the group's generators but the central ones, which act trivially
+    gens = g.generators
+    tables = [[mul[h][x] for h in mul[inv[x]]] for x in gens if any(mul[x][y] != mul[y][x] for y in gens)]
+    # with the bit of each image, so that a conjugate's mask is one sum
+    tables = [(t, [1 << e for e in t]) for t in tables]
 
-    # mask -> (elements, orbit number); reps[k] is (elements, mask, generators) of orbit k
+    if normal:
+        # prime[a] is the prime p of a's order and power[a] is a^p, for each zuppo a
+        orders = g.element_orders
+        prime_of = {k: primes_of(k)[0] for k in {orders[a] for a in zuppos}}
+        prime, power = [0] * n, [0] * n
+        for a in zuppos:
+            p = prime[a] = prime_of[orders[a]]
+            if orders[a] > p:  # else a^p is the identity, 0
+                t = a
+                for _ in range(p - 1):
+                    t = mul[t][a]
+                power[a] = t
+
+    # mask -> (elements, orbit number); reps[k] is (elements, mask, generators, orbit length) of orbit k
     found: dict[int, tuple[list[int], int]] = {}
-    reps: list[tuple[list[int], int, list[int]]] = [([0], 1, [])]
+    reps: list[tuple[list[int], int, list[int], int]] = [([0], 1, [], 1)]
     # masks[d] is the d-th subgroup found; bit d of holds[z] means it contains
     # zuppo z, and bit d of of_order[o] that its order is o
     masks: list[int] = []
@@ -222,20 +255,20 @@ def enumerate_subgroups(g: GroupTable, max_subgroups: int = DEFAULT_MAX_SUBGROUP
         masks.append(mask)
         found[mask] = (elems, k)
         of_order[len(elems)] = of_order.get(len(elems), 0) | bit
-        inside = mask & zuppo_mask
-        while inside:
-            low = inside & -inside
-            holds[low.bit_length() - 1] |= bit
-            inside ^= low
+        for z in filter(is_zuppo.__getitem__, elems):
+            holds[z] |= bit
         if len(found) > max_subgroups:
             raise SubgroupCapExceeded(f"more than {max_subgroups} subgroups in group of order {n}")
 
     add([0], 1, 0)  # the trivial subgroup counts against the cap too
 
-    for base, base_mask, base_gens in reps:  # grows as new orbits are found
+    for base, base_mask, base_gens, conjugates in reps:  # grows as new orbits are found
         order = len(base)
-        if order == n:
+        # |N_G(H)| is n / conjugates: no zuppo outside H normalizes H when that is |H|,
+        # and every zuppo does when H is normal
+        if order == n or normal and conjugates * order == n:
             continue
+        check_normalizes = conjugates > 1
         primes = primes_of(n // order)
         limit = n // primes[0]
         tried = base_mask  # a union of right cosets H*t
@@ -254,34 +287,96 @@ def enumerate_subgroups(g: GroupTable, max_subgroups: int = DEFAULT_MAX_SUBGROUP
             if known:
                 tried |= masks[known.bit_length() - 1]
                 continue
-            # H*a*H is the cosets H*(a*h)
-            for t in [mul[a][h] for h in base]:
-                if not tried >> t & 1:
-                    for h in base:
-                        tried |= 1 << mul[h][t]
-            elems, mask = _extend(g, base, base_mask, base_gens, a, limit)
-            if mask in found:
-                continue
+            if normal:
+                # a normalizes H when it conjugates H's generators into H
+                if check_normalizes:
+                    row, ai = mul[a], inv[a]
+                    for x in base_gens:
+                        if not base_mask >> mul[row[x]][ai] & 1:
+                            break
+                    else:
+                        x = None
+                    if x is not None:  # a*x*a^-1 is outside H
+                        continue
+                if not base_mask >> power[a] & 1:
+                    continue
+                # <H, a> has prime index over H, so the Lagrange test above proves it new
+                elems, mask = _normal_extend(g, base, base_mask, a, prime[a])
+                tried |= mask
+            else:
+                # H*a*H is the cosets H*(a*h)
+                for t in [mul[a][h] for h in base]:
+                    if not tried >> t & 1:
+                        for h in base:
+                            tried |= 1 << mul[h][t]
+                elems, mask = _extend(g, base, base_mask, base_gens, a, limit)
+                if mask in found:
+                    continue
             k = len(reps)
             add(elems, mask, k)
             # breadth-first over the orbit, one generator's conjugation at a time
             orbit = [elems]
             for cur in orbit:
-                for t in tables:
-                    c = [t[h] for h in cur]
-                    m = 0
-                    for e in c:
-                        m |= 1 << e
+                for t, bits in tables:
+                    m = sum(map(bits.__getitem__, cur))
                     if m not in found:
+                        c = list(map(t.__getitem__, cur))
                         add(c, m, k)
                         orbit.append(c)
-            reps.append((elems, mask, [*base_gens, a]))
+            reps.append((elems, mask, [*base_gens, a], len(orbit)))
+    return found
 
-    ordered = sorted(
-        ((sorted(elems), mask, k) for mask, (elems, k) in found.items()),
-        key=lambda t: (len(t[0]), t[0]),
-    )
-    subs = [Subgroup(tuple(elems)) for elems, _, _ in ordered]
+
+def enumerate_subgroups(g: GroupTable, max_subgroups: int = DEFAULT_MAX_SUBGROUPS) -> SubgroupLattice:
+    """Enumerate every subgroup of g together with its conjugacy class.
+
+    Works one conjugacy class at a time: each orbit representative H is
+    extended by zuppos it lacks, and each new subgroup contributes its
+    whole conjugation orbit.  Extending only representatives reaches
+    all classes, since <H, a> conjugates to <H^x, a^x>.
+
+    The first search extends H only by the zuppos a that normalize H
+    and have a^p in H, for the prime p of a's order, so <H, a> is the p
+    cosets H*a^i.  It reaches every solvable subgroup: a solvable
+    S != 1 has a normal subgroup K of prime index p, so S = <K, b> for
+    the p-part b of any element of S outside K, and the zuppo that
+    generates <b> is such a zuppo for K.  It reaches no other
+    subgroup, since each step keeps a chain of normal subgroups of
+    prime index down to 1, so it finds G exactly when G is solvable.
+    H has |G:N_G(H)| conjugates, so its orbit length settles the
+    normalizer test for every zuppo when H is normal (one conjugate)
+    or self-normalizing (|G:H| conjugates, and no step leaves H).
+
+    When G is not found, the general search starts over: every zuppo a
+    is tried by Dimino's closure, which reaches all subgroups, since
+    every subgroup is generated by its elements of prime-power order,
+    and after a is tried on H so is the double coset H*a*H, since
+    <H, h*a*h'> = <H, a>.
+
+    In both searches, when a subgroup K found before contains H and a,
+    and |K:H| is prime, then H < <H, a> <= K forces <H, a> = K, so
+    nothing is built and all of K counts as tried on H.  Bitrows over
+    the found subgroups, one per zuppo and one per order, find such a
+    K with a few big-integer ANDs.  In the first search, a zuppo that
+    passes the tests and this one gives a new subgroup.
+
+    The cap counts every subgroup found, so it trips exactly when g has
+    more than max_subgroups subgroups; the subgroup at which it trips
+    depends on the search.
+    """
+    n = g.order
+    found = _search(g, max_subgroups, normal=True)
+    solvable = (1 << n) - 1 in found
+    if not solvable:
+        found = _search(g, max_subgroups, normal=False)
+
+    # by order, then elements; no two subgroups tie, so mask and orbit are never compared
+    ordered = sorted((len(elems), sorted(elems), mask, k) for mask, (elems, k) in found.items())
+    subs = [Subgroup(tuple(elems)) for _, elems, _, _ in ordered]
+    # orbits numbered by their least member in the listing
+    rank: dict[int, int] = {}
+    for *_, k in ordered:
+        rank.setdefault(k, len(rank))
     # bit j of within[e] means e is in subs[j]
     within = [0] * n
     for j, s in enumerate(subs):
@@ -293,10 +388,10 @@ def enumerate_subgroups(g: GroupTable, max_subgroups: int = DEFAULT_MAX_SUBGROUP
         group=g,
         subs=subs,
         subset=subset,
-        orbit=[k for _, _, k in ordered],
-        trivial_idx=0,
+        orbit=[rank[k] for *_, k in ordered],
         full_idx=len(subs) - 1,
-        _index={mask: i for i, (_, mask, _) in enumerate(ordered)},
+        solvable=solvable,
+        _index={mask: i for i, (_, _, mask, _) in enumerate(ordered)},
     )
 
 
@@ -304,9 +399,9 @@ def enumerate_subgroups(g: GroupTable, max_subgroups: int = DEFAULT_MAX_SUBGROUP
 class ConjClassPoset:
     """Conjugacy classes of subgroups, a partition of the lattice.
 
-    classes[c] lists the subgroup indices of one enumeration orbit;
+    classes[c] lists the subgroup indices of one conjugation orbit;
     rep[c] is the least of them, classes are numbered by rep, and
-    class_of maps each subgroup index to its class.  The order on
+    class_of maps each subgroup index to its class, as lat.orbit does.  The order on
     classes is not kept here: build_poset derives it for the Lbar and
     Cbar views.
     """
@@ -321,13 +416,10 @@ class ConjClassPoset:
 
 
 def conjugacy_classes(lat: SubgroupLattice) -> ConjClassPoset:
-    members: dict[int, list[int]] = {}
-    for i, k in enumerate(lat.orbit):
-        members.setdefault(k, []).append(i)
-    # first-seen order of orbits is the order of their least members
-    classes = [tuple(m) for m in members.values()]
-    class_of = [0] * len(lat.subs)
-    for c, cls in enumerate(classes):
-        for i in cls:
-            class_of[i] = c
-    return ConjClassPoset(lattice=lat, classes=classes, rep=[cls[0] for cls in classes], class_of=class_of)
+    members: list[list[int]] = []
+    for i, c in enumerate(lat.orbit):
+        if c == len(members):
+            members.append([])
+        members[c].append(i)
+    classes = [tuple(m) for m in members]
+    return ConjClassPoset(lattice=lat, classes=classes, rep=[cls[0] for cls in classes], class_of=list(lat.orbit))

@@ -4,9 +4,9 @@ Everything here trades speed for obviousness: subgroups come from an
 exhaustive subset sweep or from the plain coset-skipping extension loop,
 poset facts from the raw definitions or from the transpose of leq, table
 associativity from checking every triple, the abelian, nilpotent and
-solvable flags from sweeps over the table, and Cayley tables cell by
-cell in pure Python.  Results are cached per spec string because several
-test modules share them.
+solvable flags from sweeps over the table or from Hall p-complements in
+the lattice, and Cayley tables cell by cell in pure Python.  Results are
+cached per spec string because several test modules share them.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from latcover.groups import GroupTable, ValidationResult, element_order, primes_of
 from latcover.posets import IntervalCoverWitness, PosetView
-from latcover.structure import sylow_subgroups
+from latcover.structure import p_complement, sylow_subgroups
 from latcover.errors import SubgroupCapExceeded
 from latcover.subgroups import Subgroup, SubgroupLattice, _zuppos, closure
 from latcover.verify import analyze_spec
@@ -196,6 +196,11 @@ def derived_series_is_solvable(g: GroupTable) -> bool:
         cur = nxt
 
 
+def hall_complements_is_solvable(g: GroupTable, lat: SubgroupLattice) -> bool:
+    """A p-complement exists for every prime p (P. Hall, 1928 and 1937)."""
+    return all(p_complement(g, lat, p) is not None for p in primes_of(g))
+
+
 def _coset_extend(g: GroupTable, elems: list[int], mask: int, gens: list[int], a: int) -> tuple[list[int], int]:
     """<H, a> by Dimino's coset step, giving up only past |G|/2 elements."""
     n = g.order
@@ -223,10 +228,12 @@ def _coset_extend(g: GroupTable, elems: list[int], mask: int, gens: list[int], a
 def coset_enumerate_subgroups(g: GroupTable, max_subgroups: int = 100_000) -> SubgroupLattice:
     """enumerate_subgroups with only the right coset H*a of each zuppo tried marked as tried.
 
-    Every zuppo outside the cosets tried so far is extended, whether or
-    not a double coset or a conjugate says the result is already known,
-    so the lattice, the orbit numbers and the order of discovery come
-    from the plain search.
+    Every zuppo outside the cosets tried so far is extended by Dimino's
+    closure, whether or not a double coset or a normal prime-index step
+    says the result is already known, so the lattice comes from the
+    plain search.  Orbits are numbered in the order they were found;
+    orbits_by_least_member renumbers them the way enumerate_subgroups
+    does.  solvable comes from the Hall p-complement criterion.
     """
     n = g.order
     mul = g.mul
@@ -278,15 +285,23 @@ def coset_enumerate_subgroups(g: GroupTable, max_subgroups: int = 100_000) -> Su
     for j, s in enumerate(subs):
         for e in s.elems:
             within[e] |= 1 << j
-    return SubgroupLattice(
+    lat = SubgroupLattice(
         group=g,
         subs=subs,
         subset=[reduce(and_, [within[e] for e in s.elems]) for s in subs],
         orbit=[k for _, _, k in ordered],
-        trivial_idx=0,
         full_idx=len(subs) - 1,
+        solvable=False,
         _index={mask: i for i, (_, mask, _) in enumerate(ordered)},
     )
+    lat.solvable = hall_complements_is_solvable(g, lat)
+    return lat
+
+
+def orbits_by_least_member(orbit: list[int]) -> list[int]:
+    """orbit renumbered so that orbits count up in the order of their least members."""
+    rank: dict[int, int] = {}
+    return [rank.setdefault(k, len(rank)) for k in orbit]
 
 
 def subgroups_by_spec(spec: str) -> list[tuple[int, ...]]:

@@ -3,13 +3,13 @@
 The exhaustive subset oracle covers every pinned-catalog group small
 enough for it: the class-at-a-time search and the power-set sweep must
 produce identical sets of subgroups.  The coset-skipping oracle is the
-same search without the double-coset and conjugate skips or the
-divisor bound, so on larger groups it must give the identical lattice:
-subgroups, containment rows, orbit numbers and index, and a subgroup
-cap that trips at the same subgroup.
+general search without the prime-index pass, the double-coset and
+Lagrange skips or the divisor bound, so on larger groups it must give
+the identical lattice: subgroups, containment rows, classes and index.
+The general search alone, which only non-solvable groups reach, is
+checked against it on solvable groups too, and the solvable flag
+against Hall's p-complement criterion.
 """
-
-import sys
 
 import pytest
 
@@ -74,7 +74,7 @@ def _assert_same_lattice(spec):
     fast, slow = enumerate_subgroups(g), oracles.coset_enumerate_subgroups(g)
     assert fast.subs == slow.subs, spec
     assert fast.subset == slow.subset, spec
-    assert fast.orbit == slow.orbit, spec
+    assert fast.orbit == oracles.orbits_by_least_member(slow.orbit), spec
     assert fast._index == slow._index, spec
 
 
@@ -89,26 +89,43 @@ def test_enumeration_matches_coset_oracle(spec):
     _assert_same_lattice(spec)
 
 
-def _tripping_mask(module, enumerate_fn, g, cap, monkeypatch):
-    """The mask of the subgroup whose discovery raised the subgroup cap."""
-
-    class Tripped(SubgroupCapExceeded):
-        def __init__(self, message):
-            super().__init__(message)
-            self.mask = sys._getframe(1).f_locals["mask"]  # the argument of the raising add()
-
-    monkeypatch.setattr(module, "SubgroupCapExceeded", Tripped)
-    with pytest.raises(Tripped) as info:
-        enumerate_fn(g, max_subgroups=cap)
-    return info.value.mask
+@pytest.mark.parametrize("family", FAMILY_NAMES)
+def test_general_search_matches_coset_oracle_on_solvable_groups(family, monkeypatch):
+    # solvable groups never reach the general search unless the prime-index one is skipped
+    search = subgroups._search
+    monkeypatch.setattr(subgroups, "_search", lambda g, cap, normal: search(g, cap, normal=False))
+    specs = _family_specs(family, 64) + (["C2xC2xC2xD8"] if family == FAMILY_NAMES[0] else [])
+    for spec in specs:
+        _assert_same_lattice(spec)
 
 
-@pytest.mark.parametrize("spec", ["D16", "S4", "Q16", "ZM(7,3,2)", "C2xC2xC2xD8"])
-def test_subgroup_cap_trips_at_the_oracle_subgroup(spec, monkeypatch):
+@pytest.mark.parametrize(
+    "specs",
+    [
+        pytest.param(CATALOG, id="catalog"),
+        pytest.param([spec for family in FAMILY_NAMES for spec in _family_specs(family, 128)], id="families"),
+        pytest.param(MIXED, id="mixed"),
+    ],
+)
+def test_solvable_flag_matches_hall_criterion(specs):
+    mismatches = []
+    for spec in specs:
+        g = build_group(spec)
+        lat = enumerate_subgroups(g)
+        if lat.solvable != oracles.hall_complements_is_solvable(g, lat):
+            mismatches.append(spec)
+    assert mismatches == []
+
+
+# A5xC2 and S5 are not solvable, so their cap may trip in either search
+@pytest.mark.parametrize("spec", ["D16", "S4", "Q16", "ZM(7,3,2)", "C2xC2xC2xD8", "A5xC2", "S5"])
+def test_subgroup_cap_trips_iff_group_has_more_subgroups(spec):
     g = build_group(spec)
-    count = len(enumerate_subgroups(g))
+    count = len(oracles.coset_enumerate_subgroups(g))
     # every cap on the small groups, about 40 spread over the larger ones
-    for cap in sorted({*range(0, count, max(1, count // 40)), count - 1}):
-        fast = _tripping_mask(subgroups, enumerate_subgroups, g, cap, monkeypatch)
-        slow = _tripping_mask(oracles, oracles.coset_enumerate_subgroups, g, cap, monkeypatch)
-        assert fast == slow, (spec, cap)
+    for cap in sorted({*range(0, count, max(1, count // 40)), count - 1, count}):
+        if cap < count:
+            with pytest.raises(SubgroupCapExceeded, match=f"^more than {cap} subgroups in group of order {g.order}$"):
+                enumerate_subgroups(g, max_subgroups=cap)
+        else:
+            assert len(enumerate_subgroups(g, max_subgroups=cap)) == count

@@ -130,9 +130,8 @@ def test_normalizer_values():
 
 def test_lattice_shape():
     lat = analyze_spec("S3").lattice
-    assert lat.trivial_idx == 0
-    assert lat.full_idx == len(lat.subs) - 1
     assert lat.subs[0].elems == (0,)
+    assert lat.full_idx == len(lat.subs) - 1
     assert lat.subs[-1].order == 6
     keys = [(s.order, s.elems) for s in lat.subs]
     assert keys == sorted(keys)
@@ -176,22 +175,31 @@ def test_of_order_is_the_order_filter(spec):
         assert list(lat.of_order(k)) == [i for i, s in enumerate(lat.subs) if s.order == k]
 
 
-# the closures enumeration runs, pinned so that a lost skip shows; in an
-# elementary abelian group every <H, a> has prime index over H, so each
-# nontrivial subgroup costs one closure
-@pytest.mark.parametrize("spec,subs,closures", [("C2xC2xC2xC2xC2xC2", 2825, 2824), ("C2xC2xC2xD8", 937, 1614)])
-def test_enumeration_closure_count(spec, subs, closures, monkeypatch):
-    calls = 0
-    extend = subgroups._extend
+# the subgroups each search builds, pinned so that a lost skip shows; in
+# an elementary abelian group every <H, a> has prime index over H, so
+# each nontrivial subgroup costs one coset build.  Solvable groups never
+# reach the general search; the others run the prime-index search first
+@pytest.mark.parametrize(
+    "spec,subs,builds,closures",
+    [
+        ("C2xC2xC2xC2xC2xC2", 2825, 2824, 0),
+        ("C2xC2xC2xD8", 937, 680, 0),
+        ("A5xC2", 164, 19, 100),
+        ("S5", 156, 16, 104),
+    ],
+)
+def test_enumeration_build_count(spec, subs, builds, closures, monkeypatch):
+    calls = {"_normal_extend": 0, "_extend": 0}
+    for name in calls:
+        build = getattr(subgroups, name)
 
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return extend(*args)
+        def counted(*args, build=build, name=name):
+            calls[name] += 1
+            return build(*args)
 
-    monkeypatch.setattr(subgroups, "_extend", counted)
+        monkeypatch.setattr(subgroups, name, counted)
     assert len(enumerate_subgroups(build_group(spec)).subs) == subs
-    assert calls == closures
+    assert calls == {"_normal_extend": builds, "_extend": closures}
 
 
 # D16 has exactly 19 subgroups
