@@ -34,7 +34,6 @@ class GroupTable:
     inv: list[int]
     labels: list[str]
     spec: str
-    identity: int = 0
 
     def __repr__(self) -> str:
         return f"GroupTable({self.spec!r}, order={self.order})"

@@ -180,6 +180,9 @@ def cover_holds(p: PosetView, m: int, n: int) -> bool:
 
 def interval(p: PosetView, a: int, b: int) -> list[int]:
     """All nodes x with a <= x <= b, ascending by node index."""
+    for x in (a, b):
+        if not 0 <= x < p.size:
+            raise ValueError(f"node {x} out of range for {p.kind} view of size {p.size}")
     if not p.le(a, b):
         raise NotComparable(f"nodes {a} and {b} are not comparable in {p.kind}")
     leq = p.leq

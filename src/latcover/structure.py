@@ -18,7 +18,8 @@ from .subgroups import ConjClassPoset, Subgroup, SubgroupLattice, closure, norma
 
 
 def _check_prime(g: GroupTable, p: int) -> None:
-    if primes_of(p) != [p] or g.order % p:
+    # p must divide |G| before it is factored, so factoring it takes at most sqrt(|G|) steps
+    if p < 2 or g.order % p or primes_of(p) != [p]:
         raise PrimeNotInOrder(f"{p} is not a prime divisor of group order {g.order}")
 
 

@@ -6,23 +6,25 @@ index mentioned in reports is stable across runs.
 
 Enumeration is the cyclic extension method over zuppos (Neubüser 1960),
 the generators of cyclic subgroups of prime-power order, one class
-representative H at a time.  It first takes only normal steps of prime
-index (Holt, Eick and O'Brien, Handbook of Computational Group Theory,
-2005): a zuppo a that normalizes H and has a^p in H, for the prime p of
-its order, gives <H, a> as the p cosets H*a^i, with no closure loop.
-Those steps reach exactly the solvable subgroups, so they reach the
-whole group exactly when it is solvable, and the lattice records that.
-For any other group the search starts over and extends every
-representative by every zuppo, each closure being Dimino's coset-based
-step (Butler, LNCS 559, 1991), which adds whole right cosets of H and
-stops as soon as it is larger than every proper subgroup it could still
-be; a zuppo in a double coset H*a*H of a zuppo a tried on the same H is
-skipped there.  Both searches skip a zuppo when a subgroup found before
-contains H and the zuppo with prime index over H, since by Lagrange it
-is the extension; with that skip, an elementary abelian group builds
-each nontrivial subgroup once.  Conjugation orbits are collected under
-a small generating set of the group rather than all of it, and
-numbered by their least member in the listing.
+representative H at a time, and every extension <H, a> is Dimino's
+coset-based step (Butler, LNCS 559, 1991), which adds whole right
+cosets of H and stops as soon as it is larger than every proper
+subgroup it could still be.  A first sweep over the representatives
+takes only normal steps of prime index (Holt, Eick and O'Brien,
+Handbook of Computational Group Theory, 2005): a zuppo a that
+normalizes H and has a^p in H, for the prime p of its order, gives
+<H, a> as the p cosets H*a^i.  Those steps reach exactly the solvable
+subgroups, so they reach the whole group exactly when it is solvable,
+and the lattice records that.  For any other group a second sweep
+continues from the subgroups found: it goes over every representative
+again, the first sweep's included, and tries every zuppo, skipping a
+zuppo in a double coset H*a*H of a zuppo a tried on the same H.  Both
+sweeps skip a zuppo when a subgroup found before contains H and the
+zuppo with prime index over H, since by Lagrange it is the extension;
+with that skip, an elementary abelian group builds each nontrivial
+subgroup once.  Conjugation orbits are collected under a small
+generating set of the group rather than all of it, and numbered by
+their least member in the listing.
 
 conjugacy_classes reads the orbit numbers as a plain partition of the
 listing; the order on classes is derived with every other view's order
@@ -146,7 +148,7 @@ class SubgroupLattice:
     orbits are numbered by their least member, so class numbers come
     from the listing, not from the order in which the search found
     them.  solvable tells whether the group is solvable, which the
-    prime-index search finds out on the way.
+    search's prime-index sweep finds out on the way.
     """
 
     group: GroupTable
@@ -186,35 +188,19 @@ class SubgroupLattice:
         return flags
 
 
-def _normal_extend(g: GroupTable, elems: list[int], mask: int, a: int, p: int) -> tuple[list[int], int]:
-    """Elements and mask of <H, a> = H + H*a + ... + H*a^(p-1), where H = elems.
+def _search(g: GroupTable, max_subgroups: int) -> tuple[dict[int, tuple[list[int], int]], bool]:
+    """Subgroups found by cyclic extension, and whether g is solvable.
 
-    a lies outside H, normalizes it, and has a^p in H for a prime p, so
-    <H, a> = H*<a> holds H with index p and no closure loop is needed.
-    The inputs are not mutated.
-    """
-    mul = g.mul
-    base = elems
-    elems = list(base)
-    t = a
-    for _ in range(p - 1):
-        coset = [mul[h][t] for h in base]
-        elems += coset
-        mask += sum([1 << c for c in coset])  # the cosets are disjoint
-        t = mul[t][a]
-    return elems, mask
-
-
-def _search(g: GroupTable, max_subgroups: int, normal: bool) -> dict[int, tuple[list[int], int]]:
-    """Subgroups found by cyclic extension, as mask -> (elements, orbit number in order found).
-
-    With normal set, a class representative H is extended only by the
-    zuppos a that normalize H and have a^p in H, for the prime p of
-    a's order, one coset H*a^i at a time; this reaches exactly the
-    solvable subgroups.  Without it, every zuppo is tried by Dimino's
-    closure, with the double-coset skip and the whole-group bound.
+    The subgroups map mask -> (elements, orbit number in order found).
+    The first sweep extends each class representative H only by the
+    zuppos a that normalize H and have a^p in H, for the prime p of a's
+    order; this reaches exactly the solvable subgroups.  When it misses
+    g, a second sweep goes over every representative again, the first
+    sweep's included, and tries every zuppo, with the double-coset skip.
+    Every extension is Dimino's closure with the whole-group bound.
     """
     n = g.order
+    full = (1 << n) - 1
     mul = g.mul
     inv = g.inv
     zuppos = _zuppos(g)
@@ -228,18 +214,17 @@ def _search(g: GroupTable, max_subgroups: int, normal: bool) -> dict[int, tuple[
     # with the bit of each image, so that a conjugate's mask is one sum
     tables = [(t, [1 << e for e in t]) for t in tables]
 
-    if normal:
-        # prime[a] is the prime p of a's order and power[a] is a^p, for each zuppo a
-        orders = g.element_orders
-        prime_of = {k: primes_of(k)[0] for k in {orders[a] for a in zuppos}}
-        prime, power = [0] * n, [0] * n
-        for a in zuppos:
-            p = prime[a] = prime_of[orders[a]]
-            if orders[a] > p:  # else a^p is the identity, 0
-                t = a
-                for _ in range(p - 1):
-                    t = mul[t][a]
-                power[a] = t
+    # power[a] is a^p for the prime p of the order of zuppo a
+    orders = g.element_orders
+    prime_of = {k: primes_of(k)[0] for k in {orders[a] for a in zuppos}}
+    power = [0] * n
+    for a in zuppos:
+        p = prime_of[orders[a]]
+        if orders[a] > p:  # else a^p is the identity, 0
+            t = a
+            for _ in range(p - 1):
+                t = mul[t][a]
+            power[a] = t
 
     # mask -> (elements, orbit number); reps[k] is (elements, mask, generators, orbit length) of orbit k
     found: dict[int, tuple[list[int], int]] = {}
@@ -262,69 +247,74 @@ def _search(g: GroupTable, max_subgroups: int, normal: bool) -> dict[int, tuple[
 
     add([0], 1, 0)  # the trivial subgroup counts against the cap too
 
-    for base, base_mask, base_gens, conjugates in reps:  # grows as new orbits are found
-        order = len(base)
-        # |N_G(H)| is n / conjugates: no zuppo outside H normalizes H when that is |H|,
-        # and every zuppo does when H is normal
-        if order == n or normal and conjugates * order == n:
-            continue
-        check_normalizes = conjugates > 1
-        primes = primes_of(n // order)
-        limit = n // primes[0]
-        tried = base_mask  # a union of right cosets H*t
-        # found subgroups that contain H with prime index, as of len(masks) == seen
-        over, seen = 0, -1
-        for a in zuppos:
-            if tried >> a & 1:
+    for normal in (True, False):
+        for base, base_mask, base_gens, conjugates in reps:  # grows as new orbits are found
+            order = len(base)
+            # |N_G(H)| is n / conjugates: no zuppo outside H normalizes H when that is |H|,
+            # and every zuppo does when H is normal
+            if order == n or normal and conjugates * order == n:
                 continue
-            if seen != len(masks):
-                seen = len(masks)
-                above = reduce(or_, [of_order.get(p * order, 0) for p in primes])
-                over = reduce(and_, [holds[x] for x in base_gens], above)
-            # a found K holds H and a with |K:H| prime, so H < <H, a> <= K gives <H, a> = K;
-            # there is at most one such K, and every element of K outside H gives it too
-            known = holds[a] & over
-            if known:
-                tried |= masks[known.bit_length() - 1]
-                continue
-            if normal:
-                # a normalizes H when it conjugates H's generators into H
-                if check_normalizes:
-                    row, ai = mul[a], inv[a]
-                    for x in base_gens:
-                        if not base_mask >> mul[row[x]][ai] & 1:
-                            break
-                    else:
-                        x = None
-                    if x is not None:  # a*x*a^-1 is outside H
+            check_normalizes = conjugates > 1
+            primes = primes_of(n // order)
+            limit = n // primes[0]
+            tried = base_mask  # a union of right cosets H*t
+            # found subgroups that contain H with prime index, as of len(masks) == seen
+            over, seen = 0, -1
+            for a in zuppos:
+                if tried >> a & 1:
+                    continue
+                if seen != len(masks):
+                    seen = len(masks)
+                    above = reduce(or_, [of_order.get(p * order, 0) for p in primes])
+                    over = reduce(and_, [holds[x] for x in base_gens], above)
+                # a found K holds H and a with |K:H| prime, so H < <H, a> <= K gives <H, a> = K;
+                # there is at most one such K, and every element of K outside H gives it too
+                known = holds[a] & over
+                if known:
+                    tried |= masks[known.bit_length() - 1]
+                    continue
+                if normal:
+                    # a normalizes H when it conjugates H's generators into H
+                    if check_normalizes:
+                        row, ai = mul[a], inv[a]
+                        for x in base_gens:
+                            if not base_mask >> mul[row[x]][ai] & 1:
+                                break
+                        else:
+                            x = None
+                        if x is not None:  # a*x*a^-1 is outside H
+                            continue
+                    if not base_mask >> power[a] & 1:
                         continue
-                if not base_mask >> power[a] & 1:
-                    continue
-                # <H, a> has prime index over H, so the Lagrange test above proves it new
-                elems, mask = _normal_extend(g, base, base_mask, a, prime[a])
-                tried |= mask
-            else:
-                # H*a*H is the cosets H*(a*h)
-                for t in [mul[a][h] for h in base]:
-                    if not tried >> t & 1:
-                        for h in base:
-                            tried |= 1 << mul[h][t]
+                else:
+                    # H*a*H is the cosets H*(a*h)
+                    for t in [mul[a][h] for h in base]:
+                        if not tried >> t & 1:
+                            for h in base:
+                                tried |= 1 << mul[h][t]
                 elems, mask = _extend(g, base, base_mask, base_gens, a, limit)
-                if mask in found:
+                if normal:
+                    # <H, a> is the p cosets H*a^i, of prime index over H, so the Lagrange
+                    # test above proves it new, and every element of it outside H gives it too
+                    tried |= mask
+                elif mask in found:
                     continue
-            k = len(reps)
-            add(elems, mask, k)
-            # breadth-first over the orbit, one generator's conjugation at a time
-            orbit = [elems]
-            for cur in orbit:
-                for t, bits in tables:
-                    m = sum(map(bits.__getitem__, cur))
-                    if m not in found:
-                        c = list(map(t.__getitem__, cur))
-                        add(c, m, k)
-                        orbit.append(c)
-            reps.append((elems, mask, [*base_gens, a], len(orbit)))
-    return found
+                k = len(reps)
+                add(elems, mask, k)
+                # breadth-first over the orbit, one generator's conjugation at a time
+                orbit = [elems]
+                for cur in orbit:
+                    for t, bits in tables:
+                        m = sum(map(bits.__getitem__, cur))
+                        if m not in found:
+                            c = list(map(t.__getitem__, cur))
+                            add(c, m, k)
+                            orbit.append(c)
+                reps.append((elems, mask, [*base_gens, a], len(orbit)))
+        if full in found:
+            break
+    # the first sweep reaches g exactly when it is solvable
+    return found, normal
 
 
 def enumerate_subgroups(g: GroupTable, max_subgroups: int = DEFAULT_MAX_SUBGROUPS) -> SubgroupLattice:
@@ -335,7 +325,7 @@ def enumerate_subgroups(g: GroupTable, max_subgroups: int = DEFAULT_MAX_SUBGROUP
     whole conjugation orbit.  Extending only representatives reaches
     all classes, since <H, a> conjugates to <H^x, a^x>.
 
-    The first search extends H only by the zuppos a that normalize H
+    The first sweep extends H only by the zuppos a that normalize H
     and have a^p in H, for the prime p of a's order, so <H, a> is the p
     cosets H*a^i.  It reaches every solvable subgroup: a solvable
     S != 1 has a normal subgroup K of prime index p, so S = <K, b> for
@@ -347,28 +337,26 @@ def enumerate_subgroups(g: GroupTable, max_subgroups: int = DEFAULT_MAX_SUBGROUP
     normalizer test for every zuppo when H is normal (one conjugate)
     or self-normalizing (|G:H| conjugates, and no step leaves H).
 
-    When G is not found, the general search starts over: every zuppo a
-    is tried by Dimino's closure, which reaches all subgroups, since
-    every subgroup is generated by its elements of prime-power order,
-    and after a is tried on H so is the double coset H*a*H, since
+    When G is not found, a second sweep goes over every representative
+    again, those of the first sweep included, with what it found kept,
+    and tries every zuppo a.  That reaches all subgroups, since every
+    subgroup is generated by its elements of prime-power order, and
+    after a is tried on H so is the double coset H*a*H, since
     <H, h*a*h'> = <H, a>.
 
-    In both searches, when a subgroup K found before contains H and a,
+    In both sweeps, when a subgroup K found before contains H and a,
     and |K:H| is prime, then H < <H, a> <= K forces <H, a> = K, so
     nothing is built and all of K counts as tried on H.  Bitrows over
     the found subgroups, one per zuppo and one per order, find such a
-    K with a few big-integer ANDs.  In the first search, a zuppo that
+    K with a few big-integer ANDs.  In the first sweep, a zuppo that
     passes the tests and this one gives a new subgroup.
 
     The cap counts every subgroup found, so it trips exactly when g has
     more than max_subgroups subgroups; the subgroup at which it trips
-    depends on the search.
+    depends on the sweep.
     """
     n = g.order
-    found = _search(g, max_subgroups, normal=True)
-    solvable = (1 << n) - 1 in found
-    if not solvable:
-        found = _search(g, max_subgroups, normal=False)
+    found, solvable = _search(g, max_subgroups)
 
     # by order, then elements; no two subgroups tie, so mask and orbit are never compared
     ordered = sorted((len(elems), sorted(elems), mask, k) for mask, (elems, k) in found.items())

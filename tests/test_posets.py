@@ -185,6 +185,15 @@ def test_interval_rejects_incomparable():
         interval(view, 1, 2)
 
 
+@pytest.mark.parametrize("a,b", [(-1, 10), (0, 11), (11, 11), (0, -1), (-12, 3)])
+def test_interval_rejects_nodes_out_of_range(a, b):
+    view = analyze_spec("S4").posets["Lbar"]
+    assert view.size == 11
+    bad = a if not 0 <= a < 11 else b
+    with pytest.raises(ValueError, match=f"^node {bad} out of range for Lbar view of size 11$"):
+        interval(view, a, b)
+
+
 def test_hasse_q8_golden():
     view = analyze_spec("Q8").posets["L"]
     assert len(hasse_edges(view)) == 7

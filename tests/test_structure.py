@@ -1,5 +1,6 @@
 """Structural recognizers read off the table and lattice."""
 
+import time
 from functools import reduce
 from operator import and_
 
@@ -97,6 +98,23 @@ def test_sylow_subgroups():
         sylow_subgroups(a.group, a.lattice, 5)
     with pytest.raises(PrimeNotInOrder):
         sylow_subgroups(a.group, a.lattice, 4)
+
+
+@pytest.mark.parametrize("p", [2**61 - 1, 0, 1, -2, 4])
+def test_prime_check_rejects_at_once(p):
+    # p is tested against |G| before it is factored, so a huge prime costs nothing
+    a = analyze_spec("S4")
+    calls = (
+        lambda: sylow_subgroups(a.group, a.lattice, p),
+        lambda: omega1(a.group, a.lattice, p),
+        lambda: p_complement(a.group, a.lattice, p),
+        lambda: order_p_subgroups_conjugate(a.group, a.lattice, a.classes, p),
+    )
+    for call in calls:
+        start = time.perf_counter()
+        with pytest.raises(PrimeNotInOrder, match=f"^{p} is not a prime divisor of group order 24$"):
+            call()
+        assert time.perf_counter() - start < 0.5
 
 
 def test_nilpotency():

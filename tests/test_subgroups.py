@@ -175,31 +175,33 @@ def test_of_order_is_the_order_filter(spec):
         assert list(lat.of_order(k)) == [i for i, s in enumerate(lat.subs) if s.order == k]
 
 
-# the subgroups each search builds, pinned so that a lost skip shows; in
-# an elementary abelian group every <H, a> has prime index over H, so
-# each nontrivial subgroup costs one coset build.  Solvable groups never
-# reach the general search; the others run the prime-index search first
+# the subgroups each enumeration builds, pinned so that a lost skip shows;
+# in an elementary abelian group every <H, a> has prime index over H, so
+# each nontrivial subgroup costs one build.  Solvable groups never reach
+# the second sweep; the others run both
 @pytest.mark.parametrize(
-    "spec,subs,builds,closures",
+    "spec,subs,builds",
     [
-        ("C2xC2xC2xC2xC2xC2", 2825, 2824, 0),
-        ("C2xC2xC2xD8", 937, 680, 0),
-        ("A5xC2", 164, 19, 100),
-        ("S5", 156, 16, 104),
+        ("C2xC2xC2xC2xC2xC2", 2825, 2824),
+        ("C2xC2xC2xD8", 937, 680),
+        ("A5xC2", 164, 104),
+        ("S5", 156, 110),
+        ("A6", 501, 291),
+        ("perm:8:(1,2,3,4,5,6,7);(1,8)(2,7)(3,4)(5,6)", 179, 119),
     ],
 )
-def test_enumeration_build_count(spec, subs, builds, closures, monkeypatch):
-    calls = {"_normal_extend": 0, "_extend": 0}
-    for name in calls:
-        build = getattr(subgroups, name)
+def test_enumeration_build_count(spec, subs, builds, monkeypatch):
+    calls = 0
+    extend = subgroups._extend
 
-        def counted(*args, build=build, name=name):
-            calls[name] += 1
-            return build(*args)
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return extend(*args)
 
-        monkeypatch.setattr(subgroups, name, counted)
+    monkeypatch.setattr(subgroups, "_extend", counted)
     assert len(enumerate_subgroups(build_group(spec)).subs) == subs
-    assert calls == {"_normal_extend": builds, "_extend": closures}
+    assert calls == builds
 
 
 # D16 has exactly 19 subgroups
