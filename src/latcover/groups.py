@@ -1,7 +1,10 @@
 """Finite groups as validated Cayley tables.
 
-Every group family is realized through a fixed normal-form element
-encoding, so tables, subgroup listings, and downstream reports come out
+Each group family is defined once, as a GroupSpec subclass: it checks
+its parameters when constructed, names its group, gives its order and
+drafts its table, and a scan family (FAMILIES) lists its members.
+Every family is realized through a fixed normal-form element encoding,
+so tables, subgroup listings, and downstream reports come out
 byte-identical across runs.  Elements are the integers 0..order-1 and
 the identity always sits at index 0.
 """
@@ -244,10 +247,12 @@ def _validate_table(
 
 
 class GroupSpec:
-    """Base class for parsed group construction expressions."""
+    """A group construction expression; each subclass is one family.
 
-    def validate(self) -> None:
-        raise NotImplementedError
+    A family checks its parameters when a spec is constructed, so every
+    spec object is valid.  It names its group, gives its order and drafts
+    its table; a scan family (FAMILIES) also lists its members.
+    """
 
     def expected_order(self) -> int | None:
         """Order implied by the parameters, or None when only known after closure.
@@ -258,6 +263,15 @@ class GroupSpec:
         raise NotImplementedError
 
     def canonical(self) -> str:
+        raise NotImplementedError
+
+    def draft(self, max_order: int) -> _Draft:
+        """The group's table, not yet checked; a group of unknown order stops past max_order."""
+        raise NotImplementedError
+
+    @classmethod
+    def members(cls, max_order: int) -> list[GroupSpec]:
+        """The members of order at most max_order that a scan of the family analyzes, in row order."""
         raise NotImplementedError
 
 
@@ -276,6 +290,11 @@ def _bounded_product(factors: Iterable[int]) -> int:
         if out >= _ORDER_BOUND:
             break
     return out
+
+
+def _up_to(max_order: int, specs: Iterable[GroupSpec]) -> list[GroupSpec]:
+    """The specs in the order given, up to the first whose group is larger than max_order."""
+    return list(itertools.takewhile(lambda s: s.expected_order() <= max_order, specs))
 
 
 def _is_pow2(v: int) -> bool:
@@ -332,7 +351,7 @@ def _is_prime(n: int) -> bool:
 class Cyclic(GroupSpec):
     n: int
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.n < 1:
             raise SpecInvalid(f"cyclic order must be >= 1, got {self.n}")
 
@@ -342,12 +361,19 @@ class Cyclic(GroupSpec):
     def canonical(self) -> str:
         return f"C{self.n}"
 
+    def draft(self, max_order: int) -> _Draft:
+        return _build_cyclic(self)
+
+    @classmethod
+    def members(cls, max_order: int) -> list[GroupSpec]:
+        return _up_to(max_order, map(cls, itertools.count(1)))
+
 
 @dataclass(frozen=True)
 class Dihedral(GroupSpec):
     order: int
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.order < 4 or self.order % 2:
             raise SpecInvalid(f"dihedral order must be even and >= 4, got {self.order}")
 
@@ -357,12 +383,21 @@ class Dihedral(GroupSpec):
     def canonical(self) -> str:
         return f"D{self.order}"
 
+    def draft(self, max_order: int) -> _Draft:
+        m = self.order // 2
+        return _build_metacyclic(m, 2, m - 1, 0, "x", "y", self.canonical())
+
+    @classmethod
+    def members(cls, max_order: int) -> list[GroupSpec]:
+        # D4 = C2xC2 is left out
+        return _up_to(max_order, map(cls, itertools.count(6, 2)))
+
 
 @dataclass(frozen=True)
 class Dicyclic(GroupSpec):
     m: int          # order is 4m; m a power of two gives the quaternion family
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.m < 2:
             raise SpecInvalid(f"dicyclic parameter must be >= 2, got {self.m}")
 
@@ -372,23 +407,34 @@ class Dicyclic(GroupSpec):
     def canonical(self) -> str:
         return f"Q{4 * self.m}" if _is_pow2(self.m) else f"Dic{self.m}"
 
+    def draft(self, max_order: int) -> _Draft:
+        m = self.m
+        return _build_metacyclic(2 * m, 2, 2 * m - 1, m, "a", "b", self.canonical())
+
+    @classmethod
+    def members(cls, max_order: int) -> list[GroupSpec]:
+        return _up_to(max_order, map(cls, itertools.count(2)))
+
 
 @dataclass(frozen=True)
 class ModularMaxCyclic(GroupSpec):
     p: int
     n: int
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.p >= _PRIME_TEST_BOUND:
             raise SpecInvalid(
                 f"modular family base {self.p} is too large: primality is decided only below {_PRIME_TEST_BOUND}"
             )
         if not _is_prime(self.p):
             raise SpecInvalid(f"modular family needs a prime base, got {self.p}")
-        if self.p == 2 and self.n < 4:
-            raise SpecInvalid(f"M2^n needs n >= 4, got n={self.n}")
-        if self.p > 2 and self.n < 3:
-            raise SpecInvalid(f"M{self.p}^n needs n >= 3, got n={self.n}")
+        if self.n < (least := self._least_n(self.p)):
+            raise SpecInvalid(f"M{self.p}^n needs n >= {least}, got n={self.n}")
+
+    @staticmethod
+    def _least_n(p: int) -> int:
+        """The family's least n: 4 for p = 2, as M(2^3) would be D8, and 3 for odd p."""
+        return 4 if p == 2 else 3
 
     def expected_order(self) -> int:
         return _bounded_product(itertools.repeat(self.p, self.n))
@@ -396,12 +442,30 @@ class ModularMaxCyclic(GroupSpec):
     def canonical(self) -> str:
         return f"M{self.p}^{self.n}"
 
+    def draft(self, max_order: int) -> _Draft:
+        p, n = self.p, self.n
+        mx = p ** (n - 1)
+        r = p ** (n - 2) + 1
+        # y x y^-1 = x^(r^-1) follows from x^y = x^r; r has order p mod mx
+        t = pow(r, p - 1, mx)
+        return _build_metacyclic(mx, p, t, 0, "x", "y", self.canonical())
+
+    @classmethod
+    def members(cls, max_order: int) -> list[GroupSpec]:
+        out = []
+        p = 2
+        while p**3 <= max_order:
+            if _is_prime(p):
+                out += _up_to(max_order, (cls(p, n) for n in itertools.count(cls._least_n(p))))
+            p += 1
+        return out
+
 
 @dataclass(frozen=True)
 class Semidihedral(GroupSpec):
     order: int
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not _is_pow2(self.order) or self.order < 16:
             raise SpecInvalid(f"semidihedral order must be 2^n with n >= 4, got {self.order}")
 
@@ -411,12 +475,21 @@ class Semidihedral(GroupSpec):
     def canonical(self) -> str:
         return f"SD{self.order}"
 
+    def draft(self, max_order: int) -> _Draft:
+        mx = self.order // 2
+        r = mx // 2 - 1      # self-inverse mod mx
+        return _build_metacyclic(mx, 2, r, 0, "x", "y", self.canonical())
+
+    @classmethod
+    def members(cls, max_order: int) -> list[GroupSpec]:
+        return _up_to(max_order, (cls(1 << k) for k in itertools.count(4)))
+
 
 @dataclass(frozen=True)
 class Symmetric(GroupSpec):
     n: int
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.n < 1:
             raise SpecInvalid(f"symmetric degree must be >= 1, got {self.n}")
 
@@ -426,12 +499,23 @@ class Symmetric(GroupSpec):
     def canonical(self) -> str:
         return f"S{self.n}"
 
+    def draft(self, max_order: int) -> _Draft:
+        n = self.n
+        # a transposition and an n-cycle
+        gens = [(1, 0, *range(2, n)), (*range(1, n), 0)] if n > 1 else []
+        return _perm_draft(gens, range(n), self.canonical(), max_order)
+
+    @classmethod
+    def members(cls, max_order: int) -> list[GroupSpec]:
+        # S1 and S2 are cyclic
+        return _up_to(max_order, map(cls, itertools.count(3)))
+
 
 @dataclass(frozen=True)
 class Alternating(GroupSpec):
     n: int
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.n < 1:
             raise SpecInvalid(f"alternating degree must be >= 1, got {self.n}")
 
@@ -440,6 +524,16 @@ class Alternating(GroupSpec):
 
     def canonical(self) -> str:
         return f"A{self.n}"
+
+    def draft(self, max_order: int) -> _Draft:
+        # the 3-cycles (1 2 k)
+        gens = [(1, k, *range(2, k), 0, *range(k + 1, self.n)) for k in range(2, self.n)]
+        return _perm_draft(gens, range(self.n), self.canonical(), max_order)
+
+    @classmethod
+    def members(cls, max_order: int) -> list[GroupSpec]:
+        # A1 to A3 are cyclic
+        return _up_to(max_order, map(cls, itertools.count(4)))
 
 
 @dataclass(frozen=True)
@@ -450,7 +544,7 @@ class ZM(GroupSpec):
     n: int
     r: int
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.m < 1 or self.n < 1:
             raise SpecInvalid(f"ZM parameters must be positive, got ({self.m},{self.n},{self.r})")
         if not 1 <= self.r <= max(1, self.m):
@@ -468,16 +562,28 @@ class ZM(GroupSpec):
     def canonical(self) -> str:
         return f"ZM({self.m},{self.n},{self.r})"
 
+    def draft(self, max_order: int) -> _Draft:
+        return _build_metacyclic(self.m, self.n, self.r % max(1, self.m), 0, "a", "b", self.canonical())
+
+    @classmethod
+    def members(cls, max_order: int) -> list[GroupSpec]:
+        """The non-abelian ones: m, n >= 2 and 1 < r < m, under the two rules above."""
+        return [
+            cls(m, n, r)
+            for m in range(2, max_order // 2 + 1)
+            for n in range(2, max_order // m + 1)
+            for r in range(2, m)
+            if math.gcd(m, n * (r - 1)) == 1 and pow(r, n, m) == 1
+        ]
+
 
 @dataclass(frozen=True)
 class DirectProduct(GroupSpec):
     factors: tuple[GroupSpec, ...]
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if len(self.factors) < 2:
             raise SpecInvalid("direct product needs at least two factors")
-        for f in self.factors:
-            f.validate()
 
     def expected_order(self) -> int | None:
         total = 1
@@ -490,6 +596,10 @@ class DirectProduct(GroupSpec):
 
     def canonical(self) -> str:
         return "x".join(f.canonical() for f in self.factors)
+
+    def draft(self, max_order: int) -> _Draft:
+        # a product table is a group exactly when every factor's is, so only the product is checked
+        return reduce(lambda a, b: _product(a, b, max_order), [_build(f, max_order) for f in self.factors])
 
 
 @dataclass(frozen=True)
@@ -505,7 +615,7 @@ class PermGenerated(GroupSpec):
     points: tuple[int, ...]
     generators: tuple[tuple[int, ...], ...]
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.degree < 1:
             raise SpecInvalid(f"permutation degree must be >= 1, got {self.degree}")
         pts = list(self.points)
@@ -521,6 +631,22 @@ class PermGenerated(GroupSpec):
     def canonical(self) -> str:
         gens = ";".join(_cycles_text(p, self.points) for p in self.generators)
         return f"perm:{self.degree}:{gens}"
+
+    def draft(self, max_order: int) -> _Draft:
+        return _perm_draft(self.generators, self.points, self.canonical(), max_order)
+
+
+# each scan family, in row order
+FAMILIES: dict[str, type[GroupSpec]] = {
+    "cyclic": Cyclic,
+    "dihedral": Dihedral,
+    "dicyclic": Dicyclic,
+    "modular": ModularMaxCyclic,
+    "semidihedral": Semidihedral,
+    "symmetric": Symmetric,
+    "alternating": Alternating,
+    "zm": ZM,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -588,38 +714,35 @@ def parse_spec(text: str) -> GroupSpec:
     if not s:
         raise SpecInvalid("empty group spec")
     parts = _split_product(s)
-    if len(parts) > 1:
-        if any(not p for p in parts):
-            raise SpecInvalid(f"empty factor in product spec {text!r}")
-        spec: GroupSpec = DirectProduct(tuple(parse_spec(p) for p in parts))
-    else:
-        spec = _parse_atom(s)
-    spec.validate()
-    return spec
+    if len(parts) == 1:
+        return _parse_atom(s)
+    if any(not p for p in parts):
+        raise SpecInvalid(f"empty factor in product spec {text!r}")
+    return DirectProduct(tuple(parse_spec(p) for p in parts))
+
+
+# the atoms whose fields are the integers written, in field order
+_ATOMS = (
+    (r"C(\d+)", Cyclic),
+    (r"D(\d+)", Dihedral),
+    (r"Dic(\d+)", Dicyclic),
+    (r"M(\d+)\^(\d+)", ModularMaxCyclic),
+    (r"SD(\d+)", Semidihedral),
+    (r"S(\d+)", Symmetric),
+    (r"A(\d+)", Alternating),
+    (r"ZM\((\d+),(\d+),(\d+)\)", ZM),
+)
 
 
 def _parse_atom(s: str) -> GroupSpec:
-    if m := re.fullmatch(r"C(\d+)", s):
-        return Cyclic(_int(m.group(1)))
-    if m := re.fullmatch(r"SD(\d+)", s):
-        return Semidihedral(_int(m.group(1)))
-    if m := re.fullmatch(r"S(\d+)", s):
-        return Symmetric(_int(m.group(1)))
-    if m := re.fullmatch(r"Dic(\d+)", s):
-        return Dicyclic(_int(m.group(1)))
-    if m := re.fullmatch(r"D(\d+)", s):
-        return Dihedral(_int(m.group(1)))
+    for pattern, family in _ATOMS:
+        if m := re.fullmatch(pattern, s):
+            return family(*map(_int, m.groups()))
     if m := re.fullmatch(r"Q(\d+)", s):
         q = _int(m.group(1))
         if not _is_pow2(q) or q < 8:
             raise SpecInvalid(f"quaternion order must be 2^n >= 8, got {q}")
         return Dicyclic(q // 4)
-    if m := re.fullmatch(r"M(\d+)\^(\d+)", s):
-        return ModularMaxCyclic(_int(m.group(1)), _int(m.group(2)))
-    if m := re.fullmatch(r"A(\d+)", s):
-        return Alternating(_int(m.group(1)))
-    if m := re.fullmatch(r"ZM\((\d+),(\d+),(\d+)\)", s):
-        return ZM(_int(m.group(1)), _int(m.group(2)), _int(m.group(3)))
     if m := re.fullmatch(r"perm:(\d+):(.+)", s):
         degree = _int(m.group(1))
         if degree < 1:
@@ -719,56 +842,6 @@ def _build_metacyclic(mx: int, k: int, t: int, twist: int, xn: str, yn: str, spe
     return _from_array(m.reshape(n, n), labels, spec_str)
 
 
-def _build_dihedral(spec: Dihedral) -> _Draft:
-    m = spec.order // 2
-    return _build_metacyclic(m, 2, m - 1, 0, "x", "y", spec.canonical())
-
-
-def _build_dicyclic(spec: Dicyclic) -> _Draft:
-    m = spec.m
-    return _build_metacyclic(2 * m, 2, 2 * m - 1, m, "a", "b", spec.canonical())
-
-
-def _build_modular(spec: ModularMaxCyclic) -> _Draft:
-    p, n = spec.p, spec.n
-    mx = p ** (n - 1)
-    r = p ** (n - 2) + 1
-    # y x y^-1 = x^(r^-1) follows from x^y = x^r; r has order p mod mx
-    t = pow(r, p - 1, mx)
-    return _build_metacyclic(mx, p, t, 0, "x", "y", spec.canonical())
-
-
-def _build_semidihedral(spec: Semidihedral) -> _Draft:
-    mx = spec.order // 2
-    r = mx // 2 - 1      # self-inverse mod mx
-    return _build_metacyclic(mx, 2, r, 0, "x", "y", spec.canonical())
-
-
-def _build_zm(spec: ZM) -> _Draft:
-    return _build_metacyclic(spec.m, spec.n, spec.r % max(1, spec.m), 0, "a", "b", spec.canonical())
-
-
-def _perm_mul(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    """Apply p first, then q."""
-    return tuple(q[v] for v in p)
-
-
-def _perm_parity(p: tuple[int, ...]) -> int:
-    seen = [False] * len(p)
-    parity = 0
-    for s in range(len(p)):
-        if seen[s]:
-            continue
-        length = 0
-        v = s
-        while not seen[v]:
-            seen[v] = True
-            v = p[v]
-            length += 1
-        parity ^= (length - 1) & 1
-    return parity
-
-
 def _cycles_text(p: tuple[int, ...], points: Sequence[int]) -> str:
     """p's cycles, 1-based, where p permutes 0..len(p)-1 standing for the given points."""
     out = []
@@ -825,25 +898,18 @@ def _table_from_perms(perms: list[tuple[int, ...]], points: Sequence[int], spec_
     return _from_array(index[prod_key], labels, spec_str)
 
 
-def _build_symmetric(spec: Symmetric) -> _Draft:
-    perms = [tuple(p) for p in itertools.permutations(range(spec.n))]
-    return _table_from_perms(perms, range(spec.n), spec.canonical())
-
-
-def _build_alternating(spec: Alternating) -> _Draft:
-    perms = [tuple(p) for p in itertools.permutations(range(spec.n)) if _perm_parity(tuple(p)) == 0]
-    return _table_from_perms(perms, range(spec.n), spec.canonical())
-
-
-def _build_permgen(spec: PermGenerated, max_order: int) -> _Draft:
-    identity = tuple(range(len(spec.points)))
+def _perm_draft(
+    generators: Sequence[tuple[int, ...]], points: Sequence[int], spec_str: str, max_order: int
+) -> _Draft:
+    """The table of the group that permutations of 0..len(points)-1 generate, its elements in sorted order."""
+    identity = tuple(range(len(points)))
     seen = {identity}
     frontier = [identity]
     while frontier:
         nxt = []
         for p in frontier:
-            for gen in spec.generators:
-                q = _perm_mul(p, gen)
+            for gen in generators:
+                q = tuple(map(gen.__getitem__, p))  # p, then gen
                 if q not in seen:
                     seen.add(q)
                     nxt.append(q)
@@ -852,7 +918,7 @@ def _build_permgen(spec: PermGenerated, max_order: int) -> _Draft:
                             f"generated permutation group exceeds order cap {max_order}"
                         )
         frontier = nxt
-    return _table_from_perms(sorted(seen), spec.points, spec.canonical())
+    return _table_from_perms(sorted(seen), points, spec_str)
 
 
 def direct_product(g1: GroupTable, g2: GroupTable, max_order: int = DEFAULT_MAX_ORDER) -> GroupTable:
@@ -873,32 +939,12 @@ def _product(d1: _Draft, d2: _Draft, max_order: int) -> _Draft:
 
 
 def _build(spec: GroupSpec, max_order: int) -> _Draft:
+    """spec.draft(max_order), once the order the spec implies is known to be within the cap."""
     expected = spec.expected_order()
     if expected is not None and expected > max_order:
         shown = expected if expected < _ORDER_BOUND else f">= 10^{_ORDER_DIGITS}"
         raise OrderCapExceeded(f"{spec.canonical()} has order {shown} > cap {max_order}")
-    if isinstance(spec, Cyclic):
-        return _build_cyclic(spec)
-    if isinstance(spec, Dihedral):
-        return _build_dihedral(spec)
-    if isinstance(spec, Dicyclic):
-        return _build_dicyclic(spec)
-    if isinstance(spec, ModularMaxCyclic):
-        return _build_modular(spec)
-    if isinstance(spec, Semidihedral):
-        return _build_semidihedral(spec)
-    if isinstance(spec, Symmetric):
-        return _build_symmetric(spec)
-    if isinstance(spec, Alternating):
-        return _build_alternating(spec)
-    if isinstance(spec, ZM):
-        return _build_zm(spec)
-    if isinstance(spec, PermGenerated):
-        return _build_permgen(spec, max_order)
-    if isinstance(spec, DirectProduct):
-        # a product table is a group exactly when every factor's is, so only the product is checked
-        return reduce(lambda a, b: _product(a, b, max_order), [_build(f, max_order) for f in spec.factors])
-    raise SpecInvalid(f"unsupported spec type {type(spec).__name__}")
+    return spec.draft(max_order)
 
 
 def build_group(spec: GroupSpec | str, max_order: int = DEFAULT_MAX_ORDER) -> GroupTable:
@@ -910,7 +956,6 @@ def build_group(spec: GroupSpec | str, max_order: int = DEFAULT_MAX_ORDER) -> Gr
     """
     if isinstance(spec, str):
         spec = parse_spec(spec)
-    spec.validate()
     draft = _build(spec, max_order)
     check, gens = _validate_table(draft.table, draft.inv, draft.labels)
     if not check.ok:

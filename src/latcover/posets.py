@@ -173,16 +173,21 @@ def two_interval_cover(p: PosetView, find_all: bool = False) -> IntervalCoverWit
     return IntervalCoverWitness(pairs[0][0], pairs[0][1], pairs if find_all else None)
 
 
+def _check_nodes(p: PosetView, *nodes: int) -> None:
+    for x in nodes:
+        if not 0 <= x < p.size:
+            raise ValueError(f"node {x} out of range for {p.kind} view of size {p.size}")
+
+
 def cover_holds(p: PosetView, m: int, n: int) -> bool:
     """Re-check a claimed cover pair node by node."""
+    _check_nodes(p, m, n)
     return all(p.le(x, m) or p.le(n, x) for x in range(p.size))
 
 
 def interval(p: PosetView, a: int, b: int) -> list[int]:
     """All nodes x with a <= x <= b, ascending by node index."""
-    for x in (a, b):
-        if not 0 <= x < p.size:
-            raise ValueError(f"node {x} out of range for {p.kind} view of size {p.size}")
+    _check_nodes(p, a, b)
     if not p.le(a, b):
         raise NotComparable(f"nodes {a} and {b} are not comparable in {p.kind}")
     leq = p.leq

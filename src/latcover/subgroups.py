@@ -120,6 +120,8 @@ def _zuppos(g: GroupTable) -> list[int]:
 
 def conjugate_subgroup(g: GroupTable, sub: Subgroup, x: int) -> Subgroup:
     """The subgroup x^-1 * sub * x."""
+    if not 0 <= x < g.order:
+        raise ValueError(f"element index {x} out of range for order {g.order}")
     mul = g.mul
     xi = g.inv[x]
     pre = mul[xi]

@@ -13,7 +13,7 @@ from functools import lru_cache
 from typing import Any, Callable
 
 from .errors import SubgroupCapExceeded
-from .groups import DEFAULT_MAX_ORDER, GroupTable, build_group, parse_spec, primes_of
+from .groups import DEFAULT_MAX_ORDER, FAMILIES, GroupSpec, GroupTable, build_group, parse_spec
 from .posets import (
     KINDS,
     PosetView,
@@ -433,72 +433,18 @@ def run_suites(names: tuple[str, ...] | list[str]) -> list[SuiteResult]:
 # family scan
 
 
-FAMILY_NAMES = (
-    "cyclic",
-    "dihedral",
-    "dicyclic",
-    "modular",
-    "semidihedral",
-    "symmetric",
-    "alternating",
-    "zm",
-)
+FAMILY_NAMES = tuple(FAMILIES)
+
+
+def _family(name: str) -> type[GroupSpec]:
+    try:
+        return FAMILIES[name]
+    except KeyError:
+        raise ValueError(f"unknown family {name!r}; choose from {', '.join(FAMILY_NAMES)}") from None
 
 
 def _family_specs(family: str, max_order: int) -> list[str]:
-    if family == "cyclic":
-        return [f"C{n}" for n in range(1, max_order + 1)]
-    if family == "dihedral":
-        return [f"D{n}" for n in range(6, max_order + 1, 2)]
-    if family == "dicyclic":
-        out = []
-        for m in range(2, max_order // 4 + 1):
-            out.append(f"Q{4 * m}" if m & (m - 1) == 0 else f"Dic{m}")
-        return out
-    if family == "modular":
-        out = []
-        p = 2
-        while p**3 <= max_order:
-            if primes_of(p) == [p]:
-                n = 4 if p == 2 else 3
-                while p**n <= max_order:
-                    out.append(f"M{p}^{n}")
-                    n += 1
-            p += 1
-        return out
-    if family == "semidihedral":
-        out = []
-        o = 16
-        while o <= max_order:
-            out.append(f"SD{o}")
-            o *= 2
-        return out
-    if family == "symmetric":
-        out = []
-        n = 3
-        while math.factorial(n) <= max_order:
-            out.append(f"S{n}")
-            n += 1
-        return out
-    if family == "alternating":
-        out = []
-        n = 4
-        while math.factorial(n) // 2 <= max_order:
-            out.append(f"A{n}")
-            n += 1
-        return out
-    if family == "zm":
-        out = []
-        for m in range(2, max_order // 2 + 1):
-            for n in range(2, max_order // m + 1):
-                for r in range(2, m):
-                    if math.gcd(m, n * (r - 1)) != 1:
-                        continue
-                    if pow(r, n, m) != 1:
-                        continue
-                    out.append(f"ZM({m},{n},{r})")
-        return out
-    raise ValueError(f"unknown family {family!r}; choose from {', '.join(FAMILY_NAMES)}")
+    return [spec.canonical() for spec in _family(family).members(max_order)]
 
 
 # the payload key of each ScanRow field, in field order; CSV and table show the first ten
@@ -558,37 +504,33 @@ def scan_class_c(
     whose subgroup enumeration trips the cap is kept but marked skipped.
     Analyses are not cached; a long sweep holds one group at a time.
     """
-    fams = FAMILY_NAMES if families is None else tuple(families)
-    for fam in fams:
-        if fam not in FAMILY_NAMES:
-            raise ValueError(f"unknown family {fam!r}; choose from {', '.join(FAMILY_NAMES)}")
+    fams = FAMILY_NAMES if families is None else families
+    specs = [spec for fam in fams for spec in _family(fam).members(max_order)]
     rows = []
-    for fam in fams:
-        for spec in _family_specs(fam, max_order):
-            try:
-                a = _analyze(spec, max_order, max_subgroups)
-            except SubgroupCapExceeded:
-                order = parse_spec(spec).expected_order() or 0
-                rows.append(ScanRow(spec=spec, order=order, skipped="subgroup-cap"))
-                continue
-            view = a.posets["Lbar"]
-            w = two_interval_cover(view, find_all=True)
-            rows.append(
-                ScanRow(
-                    spec=a.spec,
-                    order=a.group.order,
-                    n_subgroups=len(a.lattice.subs),
-                    n_classes=len(a.classes.classes),
-                    bp_l=bool(breaking_points(a.posets["L"])),
-                    bp_lbar=bool(breaking_points(a.posets["Lbar"])),
-                    bp_c=bool(breaking_points(a.posets["C"])),
-                    bp_cbar=bool(breaking_points(a.posets["Cbar"])),
-                    in_c=w is not None,
-                    witnesses=len(w.all_pairs) if w is not None else 0,
-                    is_abelian=a.profile.is_abelian,
-                    is_cyclic=a.profile.is_cyclic,
-                    is_nilpotent=a.profile.is_nilpotent,
-                    is_solvable=a.profile.is_solvable,
-                )
+    for spec in specs:
+        try:
+            a = _analyze(spec.canonical(), max_order, max_subgroups)
+        except SubgroupCapExceeded:
+            rows.append(ScanRow(spec=spec.canonical(), order=spec.expected_order(), skipped="subgroup-cap"))
+            continue
+        view = a.posets["Lbar"]
+        w = two_interval_cover(view, find_all=True)
+        rows.append(
+            ScanRow(
+                spec=a.spec,
+                order=a.group.order,
+                n_subgroups=len(a.lattice.subs),
+                n_classes=len(a.classes.classes),
+                bp_l=bool(breaking_points(a.posets["L"])),
+                bp_lbar=bool(breaking_points(a.posets["Lbar"])),
+                bp_c=bool(breaking_points(a.posets["C"])),
+                bp_cbar=bool(breaking_points(a.posets["Cbar"])),
+                in_c=w is not None,
+                witnesses=len(w.all_pairs) if w is not None else 0,
+                is_abelian=a.profile.is_abelian,
+                is_cyclic=a.profile.is_cyclic,
+                is_nilpotent=a.profile.is_nilpotent,
+                is_solvable=a.profile.is_solvable,
             )
+        )
     return rows

@@ -538,6 +538,27 @@ def python_table_from_perms(perms: list[tuple[int, ...]], points, spec_str: str)
     return _python_table(mul, [_cycle_label(p, points) for p in perms], spec_str)
 
 
+def _perm_parity(p: tuple[int, ...]) -> int:
+    seen = [False] * len(p)
+    parity = 0
+    for s in range(len(p)):
+        if seen[s]:
+            continue
+        length = 0
+        v = s
+        while not seen[v]:
+            seen[v] = True
+            v = p[v]
+            length += 1
+        parity ^= (length - 1) & 1
+    return parity
+
+
+def listed_permutations(n: int, even: bool) -> list[tuple[int, ...]]:
+    """Every permutation of 0..n-1, or every even one, in lexicographic order: S_n or A_n without a closure."""
+    return [p for p in itertools.permutations(range(n)) if not (even and _perm_parity(p))]
+
+
 def python_direct_product(g1: GroupTable, g2: GroupTable, max_order: int = 512) -> GroupTable:
     n1, n2 = g1.order, g2.order
     n = n1 * n2

@@ -391,6 +391,14 @@ def test_builders_match_python_tables(spec, monkeypatch):
     _assert_same_table(g, build_group(spec))
 
 
+@pytest.mark.parametrize("spec", [f"{family}{n}" for family in "SA" for n in range(1, 7)])
+def test_symmetric_and_alternating_match_listed_permutations(spec):
+    # the closure of a few generators gives every permutation, or every even one, in sorted order
+    n = int(spec[1:])
+    perms = oracles.listed_permutations(n, even=spec[0] == "A")
+    _assert_same_table(build_group(spec, max_order=720), oracles.python_table_from_perms(perms, range(n), spec))
+
+
 @pytest.mark.parametrize("spec", BUILDER_SPECS)
 def test_build_group_checks_the_table_it_keeps(spec, monkeypatch):
     checked = []

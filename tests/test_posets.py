@@ -194,6 +194,15 @@ def test_interval_rejects_nodes_out_of_range(a, b):
         interval(view, a, b)
 
 
+@pytest.mark.parametrize("m,n", [(11, 0), (0, -1), (-1, 0), (0, 11), (-12, 11)])
+def test_cover_holds_rejects_nodes_out_of_range(m, n):
+    view = analyze_spec("S4").posets["Lbar"]
+    assert view.size == 11
+    bad = m if not 0 <= m < 11 else n
+    with pytest.raises(ValueError, match=f"^node {bad} out of range for Lbar view of size 11$"):
+        cover_holds(view, m, n)
+
+
 def test_hasse_q8_golden():
     view = analyze_spec("Q8").posets["L"]
     assert len(hasse_edges(view)) == 7

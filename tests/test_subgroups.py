@@ -122,6 +122,13 @@ def test_conjugate_subgroup():
     assert got.elems == (0, 1)
 
 
+@pytest.mark.parametrize("x", [-1, 24, -25])
+def test_conjugate_subgroup_rejects_out_of_range(x):
+    g = build_group("S4")
+    with pytest.raises(ValueError, match=f"^element index {x} out of range for order 24$"):
+        conjugate_subgroup(g, closure(g, (1,)), x)
+
+
 def test_normalizer_values():
     g = build_group("S3")
     assert normalizer(g, closure(g, (3,))).elems == (0, 1, 2, 3, 4, 5)

@@ -1,5 +1,7 @@
 """Verification suites, the pinned catalog, and the family scan."""
 
+import hashlib
+
 import pytest
 
 from latcover.verify import (
@@ -134,6 +136,9 @@ def test_family_specs_goldens():
     assert _family_specs("symmetric", 24) == ["S3", "S4"]
     assert _family_specs("alternating", 60) == ["A4", "A5"]
     assert _family_specs("cyclic", 5) == ["C1", "C2", "C3", "C4", "C5"]
+    # every family's members at the default order cap, in row order
+    listed = "\n".join(spec for family in FAMILY_NAMES for spec in _family_specs(family, 512))
+    assert hashlib.sha256(listed.encode()).hexdigest() == "452365b3043696edb1f7f619df65664fadfc1a7d1b8836dfa30eabe525557d92"
 
 
 def test_family_specs_zm():
