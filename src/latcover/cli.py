@@ -281,14 +281,35 @@ def _env_flag(name: str) -> bool:
     raise ValueError(f"{name} must be a boolean-ish value, got {raw!r}")
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    max_order = _env_cap("LATCOVER_MAX_ORDER", DEFAULT_MAX_ORDER)
-    max_subgroups = _env_cap("LATCOVER_MAX_SUBGROUPS", DEFAULT_MAX_SUBGROUPS)
-    poset = os.environ.get("LATCOVER_POSET", "Lbar")
+def _env_poset(name: str) -> str:
+    poset = os.environ.get(name, "Lbar")
     if poset not in KINDS:
-        raise ValueError(f"LATCOVER_POSET must be one of {', '.join(KINDS)}, got {poset!r}")
-    all_witnesses = _env_flag("LATCOVER_ALL_WITNESSES")
+        raise ValueError(f"{name} must be one of {', '.join(KINDS)}, got {poset!r}")
+    return poset
 
+
+# the variable that overrides each option's default, in the order they are
+# checked; a command reads only the variables of the options it has
+_ENV_DEFAULTS = (
+    ("max_order", "LATCOVER_MAX_ORDER", lambda name: _env_cap(name, DEFAULT_MAX_ORDER)),
+    ("max_subgroups", "LATCOVER_MAX_SUBGROUPS", lambda name: _env_cap(name, DEFAULT_MAX_SUBGROUPS)),
+    ("poset", "LATCOVER_POSET", _env_poset),
+    ("all_witnesses", "LATCOVER_ALL_WITNESSES", _env_flag),
+)
+
+
+def _parse_args(argv: list[str] | None) -> argparse.Namespace:
+    """The command line, with an unset option taking its default from the environment."""
+    args = _build_parser().parse_args(argv)
+    for dest, name, read in _ENV_DEFAULTS:
+        if hasattr(args, dest):
+            value = read(name)  # checked even when the option is given
+            if getattr(args, dest) is None:
+                setattr(args, dest, value)
+    return args
+
+
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="latcover",
         description="Subgroup poset analysis: breaking points and two-interval covers.",
@@ -299,15 +320,15 @@ def _build_parser() -> argparse.ArgumentParser:
     pa.add_argument("spec", help="group spec, e.g. Q16, D8, M3^3, ZM(7,3,2), C2xC2xS3")
     pa.add_argument("--json", metavar="PATH", help="write the full report as JSON")
     pa.add_argument("--dot", metavar="PATH", help="write a Hasse diagram in DOT form")
-    pa.add_argument("--poset", choices=KINDS, default=poset, help="which view --dot draws")
+    pa.add_argument("--poset", choices=KINDS, help="which view --dot draws")
     pa.add_argument(
         "--all-witnesses",
         action="store_true",
-        default=all_witnesses,
+        default=None,
         help="count every covering pair instead of stopping at the first",
     )
-    pa.add_argument("--max-order", type=_cap, default=max_order)
-    pa.add_argument("--max-subgroups", type=_cap, default=max_subgroups)
+    pa.add_argument("--max-order", type=_cap)
+    pa.add_argument("--max-subgroups", type=_cap)
     pa.set_defaults(func=cmd_analyze)
 
     pv = sub.add_parser("verify", help="run verification suites")
@@ -321,8 +342,8 @@ def _build_parser() -> argparse.ArgumentParser:
     pv.set_defaults(func=cmd_verify)
 
     ps = sub.add_parser("scan", help="sweep group families for class membership")
-    ps.add_argument("--max-order", type=_cap, default=max_order)
-    ps.add_argument("--max-subgroups", type=_cap, default=max_subgroups)
+    ps.add_argument("--max-order", type=_cap)
+    ps.add_argument("--max-subgroups", type=_cap)
     ps.add_argument(
         "--families",
         metavar="LIST",
@@ -346,7 +367,7 @@ _EXIT_CODES = {
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parse_args(argv)
         return args.func(args)
     except SystemExit as exc:  # from argparse, which has printed its usage message
         return exc.code if isinstance(exc.code, int) else 2

@@ -99,18 +99,6 @@ class ValidationResult:
     witness: tuple[int, ...] | None = None
 
 
-def element_order(g: GroupTable, i: int) -> int:
-    """Least k >= 1 with i multiplied by itself k times giving the identity."""
-    if not 0 <= i < g.order:
-        raise ValueError(f"element index {i} out of range for order {g.order}")
-    k = 1
-    x = i
-    while x != 0:
-        x = g.mul[x][i]
-        k += 1
-    return k
-
-
 def _right_generators(mul: list[list[int]] | np.ndarray) -> list[int] | None:
     """Greedy generators, in index order, whose right-multiplication closure from 0 is everything.
 
@@ -193,7 +181,7 @@ def _validate_table(
         bad = np.argwhere((m < 0) | (m >= n))[0]
         return ValidationResult(False, "latin", (int(bad[0]), int(bad[1]))), None
     # the narrowest type that holds every index: the gathers below move a quarter of the bytes or less
-    m = m.astype(np.min_scalar_type(n - 1))
+    m = m.astype(np.min_scalar_type(n - 1), copy=False)
     ar = np.arange(n)
     zeros = np.zeros(n, dtype=np.int64)
     iv = np.asarray(inv, dtype=np.int64)
@@ -362,7 +350,7 @@ class Cyclic(GroupSpec):
         return f"C{self.n}"
 
     def draft(self, max_order: int) -> _Draft:
-        return _build_cyclic(self)
+        return _build_metacyclic(self.n, 1, 1, 0, "a", "b", self.canonical())
 
     @classmethod
     def members(cls, max_order: int) -> list[GroupSpec]:
@@ -775,45 +763,23 @@ def _rows(m: np.ndarray) -> list[list[int]]:
 class _Draft:
     """A Cayley table as a builder made it, before build_group has checked it.
 
-    table is the n x n int64 index array the check reads.  rows are the
-    lists GroupTable keeps, when the builder has them already; otherwise
-    they are made from table once the check has passed.
+    table is the n x n index array the check reads, in any integer type
+    that holds its entries; the metacyclic builder makes it narrow.  The
+    rows GroupTable keeps are made from it once the check has passed.
     """
 
     table: np.ndarray
     inv: list[int]
     labels: list[str]
     spec: str
-    rows: list[list[int]] | None = None
-
-    @classmethod
-    def of(cls, g: GroupTable) -> _Draft:
-        return cls(np.asarray(g.mul, dtype=np.int64), g.inv, g.labels, g.spec, g.mul)
 
     def group(self) -> GroupTable:
-        rows = _rows(self.table) if self.rows is None else self.rows
-        return GroupTable(len(self.table), rows, self.inv, self.labels, self.spec)
+        return GroupTable(len(self.table), _rows(self.table), self.inv, self.labels, self.spec)
 
 
 def _from_array(m: np.ndarray, labels: list[str], spec_str: str) -> _Draft:
     """A table built as an array of indices.  Row x holds 0, the least index, once: at column x^-1."""
     return _Draft(m, m.argmin(axis=1).tolist(), labels, spec_str)
-
-
-def _cyclic_label(i: int, name: str = "a") -> str:
-    if i == 0:
-        return "1"
-    return name if i == 1 else f"{name}^{i}"
-
-
-def _build_cyclic(spec: Cyclic) -> _Draft:
-    n = spec.n
-    ar = np.arange(n, dtype=np.int64)
-    # row i is row 0 rotated by i; slicing shares the int objects
-    row = list(range(n))
-    mul = [row[i:] + row[:i] for i in range(n)]
-    inv = [-i % n for i in range(n)]
-    return _Draft((ar[:, None] + ar) % n, inv, [_cyclic_label(i) for i in range(n)], spec.canonical(), mul)
 
 
 def _word_labels(mx: int, k: int, xn: str, yn: str) -> list[str]:
@@ -824,21 +790,22 @@ def _word_labels(mx: int, k: int, xn: str, yn: str) -> list[str]:
 
 
 def _build_metacyclic(mx: int, k: int, t: int, twist: int, xn: str, yn: str, spec_str: str) -> _Draft:
-    """Words x^i y^e with y x y^-1 = x^t and y^k = x^twist; index is i*k + e."""
+    """Words x^i y^e with y x y^-1 = x^t and y^k = x^twist; index is i*k + e.
+
+    With k = 1 the words are the powers of x: the cyclic group of order mx.
+    """
     n = mx * k
     labels = _word_labels(mx, k, xn, yn)
-    # axes (i, e, j, f): x^i y^e * x^j y^f = x^(i + j t^e + twist [e + f >= k]) y^((e + f) mod k)
-    i = np.arange(mx, dtype=np.int64)[:, None, None, None]
-    j = np.arange(mx, dtype=np.int64)[None, None, :, None]
-    e = np.arange(k, dtype=np.int64)[None, :, None, None]
-    f = np.arange(k, dtype=np.int64)[None, None, None, :]
-    tpow = np.array([pow(t, v, mx) for v in range(k)], dtype=np.int64)[e]
-    s = e + f
-    # only the last sum spans all four axes; the rest runs in place on it
-    m = i + (j * tpow + twist * (s // k))
-    m %= mx
-    m *= k
-    m += s % k
+    # x^i y^e * x^j y^f = x^(i + v) y^((e + f) mod k), with v = j t^e + twist [e + f >= k] mod mx,
+    # has index (i k + w) mod n, where w is the index of x^v y^((e + f) mod k)
+    s = np.arange(k)[:, None, None] + np.arange(k)  # e + f, on axes (e, j, f)
+    tpow = np.array([pow(t, e, mx) for e in range(k)], dtype=np.int64)[:, None, None]
+    w = (np.arange(mx)[:, None] * tpow + twist * (s // k)) % mx * k + s % k  # the only division
+    # on axes (i, e, j, f), i k + w < 2n, in the narrowest unsigned type that holds 2n
+    dt = np.min_scalar_type(2 * n)
+    m = np.arange(0, n, k, dtype=dt)[:, None, None, None] + w.astype(dt)
+    # where i k + w < n, m - n wraps around to above m
+    m = np.minimum(m, m - dt.type(n))
     return _from_array(m.reshape(n, n), labels, spec_str)
 
 
@@ -921,18 +888,15 @@ def _perm_draft(
     return _table_from_perms(sorted(seen), points, spec_str)
 
 
-def direct_product(g1: GroupTable, g2: GroupTable, max_order: int = DEFAULT_MAX_ORDER) -> GroupTable:
-    """Pairwise product with mixed-radix encoding (i, j) -> i*|g2| + j; the tables are not checked."""
-    return _product(_Draft.of(g1), _Draft.of(g2), max_order).group()
-
-
 def _product(d1: _Draft, d2: _Draft, max_order: int) -> _Draft:
+    """Pairwise product with mixed-radix encoding (i, j) -> i*|d2| + j; the tables are not checked."""
     n1, n2 = len(d1.table), len(d2.table)
     n = n1 * n2
     if n > max_order:
         raise OrderCapExceeded(f"product order {n} exceeds cap {max_order}")
     # axes (a1, b1, a2, b2): (a1, b1) * (a2, b2) = (a1 a2, b1 b2)
-    m = (d1.table[:, None, :, None] * n2 + d2.table[None, :, None, :]).reshape(n, n)
+    # widened first: a factor's narrow index type need not hold i*|d2| + j
+    m = (d1.table.astype(np.int64)[:, None, :, None] * n2 + d2.table[None, :, None, :]).reshape(n, n)
     inv = [i * n2 + j for i in d1.inv for j in d2.inv]
     labels = [f"({x},{y})" for x in d1.labels for y in d2.labels]
     return _Draft(m, inv, labels, f"{d1.spec}x{d2.spec}")

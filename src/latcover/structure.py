@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import PrimeNotInOrder
 from .groups import GroupTable, primes_of
-from .subgroups import ConjClassPoset, Subgroup, SubgroupLattice, closure, normalizer
+from .subgroups import ConjClassPoset, Subgroup, SubgroupLattice, closure
 
 
 def _check_prime(g: GroupTable, p: int) -> None:
@@ -41,15 +41,6 @@ def derived_subgroup(g: GroupTable) -> Subgroup:
     n = g.order
     comms = {mul[mul[inv[x]][inv[y]]][mul[x][y]] for x in range(n) for y in range(n)}
     return closure(g, tuple(comms))
-
-
-def is_solvable(g: GroupTable, lat: SubgroupLattice) -> bool:
-    """A chain of normal subgroups of prime index runs from 1 to g, as enumeration of lat found."""
-    return lat.solvable
-
-
-def is_normal(g: GroupTable, sub: Subgroup) -> bool:
-    return normalizer(g, sub).order == g.order
 
 
 def _p_valuation(n: int, p: int) -> int:
@@ -151,7 +142,7 @@ def build_profile(g: GroupTable, lat: SubgroupLattice, ccp: ConjClassPoset) -> S
         is_cyclic=is_cyclic(g),
         is_p_group=len(ps) == 1,
         is_nilpotent=is_nilpotent(g, lat),
-        is_solvable=is_solvable(g, lat),
+        is_solvable=lat.solvable,
         is_generalized_quaternion=is_generalized_quaternion(g, lat),
         exponent_facts=counts,
     )

@@ -118,29 +118,6 @@ def _zuppos(g: GroupTable) -> list[int]:
     return [a for a in range(1, g.order) if least[a] == a and prime_power[orders[a]]]
 
 
-def conjugate_subgroup(g: GroupTable, sub: Subgroup, x: int) -> Subgroup:
-    """The subgroup x^-1 * sub * x."""
-    if not 0 <= x < g.order:
-        raise ValueError(f"element index {x} out of range for order {g.order}")
-    mul = g.mul
-    xi = g.inv[x]
-    pre = mul[xi]
-    return Subgroup(tuple(sorted(mul[pre[h]][x] for h in sub.elems)))
-
-
-def normalizer(g: GroupTable, sub: Subgroup) -> Subgroup:
-    """Elements whose conjugation maps sub onto itself."""
-    mask = sub.mask
-    mul = g.mul
-    inv = g.inv
-    keep = []
-    for x in range(g.order):
-        pre = mul[inv[x]]
-        if all(mask >> mul[pre[h]][x] & 1 for h in sub.elems):
-            keep.append(x)
-    return Subgroup(tuple(keep))
-
-
 @dataclass
 class SubgroupLattice:
     """All subgroups of a group, ordered by inclusion.

@@ -504,7 +504,8 @@ def scan_class_c(
     whose subgroup enumeration trips the cap is kept but marked skipped.
     Analyses are not cached; a long sweep holds one group at a time.
     """
-    fams = FAMILY_NAMES if families is None else families
+    # a family named twice is scanned once, where it is first named
+    fams = FAMILY_NAMES if families is None else dict.fromkeys(families)
     specs = [spec for fam in fams for spec in _family(fam).members(max_order)]
     rows = []
     for spec in specs:

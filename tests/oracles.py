@@ -5,7 +5,8 @@ exhaustive subset sweep or from the plain coset-skipping extension loop,
 poset facts from the raw definitions or from the transpose of leq, table
 associativity from checking every triple, the abelian, nilpotent and
 solvable flags from sweeps over the table or from Hall p-complements in
-the lattice, and Cayley tables cell by cell in pure Python.  Results are
+the lattice, element orders, conjugates and normalizers from their
+definitions, and Cayley tables cell by cell in pure Python.  Results are
 cached per spec string because several test modules share them.
 """
 
@@ -18,7 +19,8 @@ from operator import and_
 
 import numpy as np
 
-from latcover.groups import GroupTable, ValidationResult, element_order, primes_of
+from latcover import groups
+from latcover.groups import GroupTable, ValidationResult, primes_of
 from latcover.posets import IntervalCoverWitness, PosetView
 from latcover.structure import p_complement, sylow_subgroups
 from latcover.errors import SubgroupCapExceeded
@@ -157,22 +159,49 @@ def sweep_is_abelian(g: GroupTable) -> bool:
     return all(mul[i][j] == mul[j][i] for i in range(g.order) for j in range(i + 1, g.order))
 
 
-def _is_normal_by_conjugation(g: GroupTable, sub: Subgroup) -> bool:
+def element_order(g: GroupTable, i: int) -> int:
+    """Least k >= 1 with i multiplied by itself k times giving the identity."""
+    if not 0 <= i < g.order:
+        raise ValueError(f"element index {i} out of range for order {g.order}")
+    k = 1
+    x = i
+    while x != 0:
+        x = g.mul[x][i]
+        k += 1
+    return k
+
+
+def conjugate_subgroup(g: GroupTable, sub: Subgroup, x: int) -> Subgroup:
+    """The subgroup x^-1 * sub * x."""
+    if not 0 <= x < g.order:
+        raise ValueError(f"element index {x} out of range for order {g.order}")
+    mul = g.mul
+    pre = mul[g.inv[x]]
+    return Subgroup(tuple(sorted(mul[pre[h]][x] for h in sub.elems)))
+
+
+def normalizer(g: GroupTable, sub: Subgroup) -> Subgroup:
+    """Elements whose conjugation maps sub onto itself."""
     mask = sub.mask
     mul = g.mul
     inv = g.inv
+    keep = []
     for x in range(g.order):
         pre = mul[inv[x]]
-        if not all(mask >> mul[pre[h]][x] & 1 for h in sub.elems):
-            return False
-    return True
+        if all(mask >> mul[pre[h]][x] & 1 for h in sub.elems):
+            keep.append(x)
+    return Subgroup(tuple(keep))
+
+
+def is_normal(g: GroupTable, sub: Subgroup) -> bool:
+    return normalizer(g, sub).order == g.order
 
 
 def normal_sylow_is_nilpotent(g: GroupTable, lat: SubgroupLattice) -> bool:
     """A Sylow p-subgroup is normal, checked by conjugating it by every element, for each p."""
     for p in primes_of(g):
         first = sylow_subgroups(g, lat, p)[0]
-        if not _is_normal_by_conjugation(g, lat.subs[first]):
+        if not is_normal(g, lat.subs[first]):
             return False
     return True
 
@@ -470,6 +499,30 @@ def ordered_cover_pairs(view: PosetView) -> list[tuple[int, int]]:
         for n in ns
         if all(view.le(x, m) or view.le(n, x) for x in range(view.size))
     ]
+
+
+# ---------------------------------------------------------------------------
+# tables handed to the engine
+
+
+def relabelled(g: GroupTable, s: list[int]) -> GroupTable:
+    """g with each element a renamed s[a], s a permutation fixing 0: s(a)*s(b) is s(a*b)."""
+    n = g.order
+    mul = [[0] * n for _ in range(n)]
+    inv = [0] * n
+    labels = [""] * n
+    for a in range(n):
+        row = mul[s[a]]
+        for b, c in enumerate(g.mul[a]):
+            row[s[b]] = s[c]
+        inv[s[a]] = s[g.inv[a]]
+        labels[s[a]] = g.labels[a]
+    return GroupTable(n, mul, inv, labels, g.spec)
+
+
+def draft_of(g: GroupTable) -> groups._Draft:
+    """g's table as the unchecked draft a builder hands to build_group."""
+    return groups._Draft(np.asarray(g.mul, dtype=np.int64), g.inv, g.labels, g.spec)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from latcover.structure import (
     omega1,
     order_p_subgroups_conjugate,
 )
-from latcover.subgroups import closure, normalizer
+from latcover.subgroups import closure
 from latcover.verify import (
     CATALOG,
     THEOREM1_BREAKING,
@@ -36,6 +36,7 @@ from latcover.verify import (
     verify_theorem6_and_corollaries,
     verify_theorem9,
 )
+from oracles import normalizer
 
 
 def _verdict(n: int, desc: str, ok: bool) -> None:

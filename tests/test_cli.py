@@ -354,6 +354,29 @@ def test_env_cap_below_one_is_exit_2(argv, name, value, monkeypatch, capsys):
     assert f"error: {name}: a cap must be at least 1, got {value}" in capsys.readouterr().err
 
 
+BAD_ENV = {
+    "LATCOVER_MAX_ORDER": "0",
+    "LATCOVER_MAX_SUBGROUPS": "0",
+    "LATCOVER_POSET": "bad",
+    "LATCOVER_ALL_WITNESSES": "banana",
+}
+
+
+@pytest.mark.parametrize(
+    "argv,names",
+    [
+        (["verify", "theorem9"], list(BAD_ENV)),
+        (["scan", "--max-order", "8"], ["LATCOVER_POSET", "LATCOVER_ALL_WITNESSES"]),
+    ],
+)
+def test_env_override_of_an_option_the_command_lacks_is_not_read(argv, names, monkeypatch, capsys):
+    for name in names:
+        monkeypatch.setenv(name, BAD_ENV[name])
+        assert main(argv) == 0, name
+        assert capsys.readouterr().err == ""
+        monkeypatch.delenv(name)
+
+
 def test_env_poset_choice(monkeypatch, tmp_path, capsys):
     monkeypatch.setenv("LATCOVER_POSET", "L")
     path = tmp_path / "d.dot"

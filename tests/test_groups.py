@@ -14,13 +14,12 @@ from latcover.groups import (
     GroupTable,
     ValidationResult,
     build_group,
-    direct_product,
-    element_order,
     parse_spec,
     validate_group,
 )
 from latcover.subgroups import closure
 from latcover.verify import CATALOG, FAMILY_NAMES, _family_specs
+from oracles import element_order
 
 
 def test_cyclic_table():
@@ -117,7 +116,7 @@ def test_perm_spec_hits_order_cap():
 
 
 def test_direct_product_table():
-    g = direct_product(build_group("C2"), build_group("C3"))
+    g = oracles.python_direct_product(build_group("C2"), build_group("C3"))
     assert g.order == 6
     assert max(g.element_orders) == 6
     assert "(a,a^2)" in g.labels
@@ -315,7 +314,7 @@ def test_validate_matches_sweep_on_loop_times_group(spec):
     # the group factor takes the lowest indices, so the first generators
     # found pass the per-generator check and a later one must fail it
     loop = GroupTable(5, LOOP5, [0, 1, 2, 3, 4], ["e", "a", "b", "c", "d"], "loop5")
-    h = direct_product(loop, build_group(spec))
+    h = oracles.python_direct_product(loop, build_group(spec))
     res = validate_group(h)
     assert res.problem == "associativity"
     assert res == oracles.sweep_validate_group(h)
@@ -360,6 +359,10 @@ BUILDER_SPECS = [
     "S4xC2xC2",
     "C2xC2xC2xD8",
     "C3xC5xC4",
+    # the first factor's table is uint8 or uint16, too narrow for the product's indices
+    "C4xC128",
+    "C2xC256",
+    "Q8xC64",
     WREATH_2_2_2,
     WREATH_3_3,
 ]
@@ -373,22 +376,35 @@ def _assert_same_table(g: GroupTable, h: GroupTable) -> None:
 
 
 def _drafted(build):
-    """An oracle builder whose table comes back as the draft build_group checks, rows and all."""
-    return lambda *args: groups._Draft.of(build(*args))
+    """An oracle builder whose table comes back as the draft build_group checks."""
+    return lambda *args: oracles.draft_of(build(*args))
 
 
 def _python_product(d1, d2, max_order):
-    return groups._Draft.of(oracles.python_direct_product(d1.group(), d2.group(), max_order))
+    return oracles.draft_of(oracles.python_direct_product(d1.group(), d2.group(), max_order))
 
 
 @pytest.mark.parametrize("spec", BUILDER_SPECS)
 def test_builders_match_python_tables(spec, monkeypatch):
     g = build_group(spec)
-    monkeypatch.setattr(groups, "_build_cyclic", _drafted(oracles.python_build_cyclic))
     monkeypatch.setattr(groups, "_build_metacyclic", _drafted(oracles.python_build_metacyclic))
     monkeypatch.setattr(groups, "_table_from_perms", _drafted(oracles.python_table_from_perms))
     monkeypatch.setattr(groups, "_product", _python_product)
     _assert_same_table(g, build_group(spec))
+
+
+@pytest.mark.parametrize("n", [*range(1, 41), 256, 257, 258, 500, 512])
+def test_cyclic_tables_match_python(n):
+    # up to order 257 the rows come from tolist(), above it from the object-array path
+    spec = parse_spec(f"C{n}")
+    _assert_same_table(build_group(spec), oracles.python_build_cyclic(spec))
+
+
+@pytest.mark.parametrize("spec", ["C500", "C512", "D512"])
+def test_rows_share_one_int_per_index(spec):
+    g = build_group(spec)
+    first = g.mul[0]  # the identity row holds each index in order
+    assert all(v is first[v] for row in g.mul for v in row)
 
 
 @pytest.mark.parametrize("spec", [f"{family}{n}" for family in "SA" for n in range(1, 7)])
@@ -423,7 +439,8 @@ def test_build_group_checks_the_table_it_keeps(spec, monkeypatch):
 def test_direct_product_matches_python_on_loop(loop_first):
     loop = GroupTable(5, LOOP5, [0, 1, 2, 3, 4], ["e", "a", "b", "c", "d"], "loop5")
     pair = (loop, build_group("C16")) if loop_first else (build_group("C16"), loop)
-    _assert_same_table(direct_product(*pair), oracles.python_direct_product(*pair))
+    drafts = [oracles.draft_of(g) for g in pair]
+    _assert_same_table(groups._product(*drafts, DEFAULT_MAX_ORDER).group(), oracles.python_direct_product(*pair))
 
 
 @pytest.mark.parametrize(

@@ -8,15 +8,22 @@ Lagrange skips or the divisor bound, so on larger groups it must give
 the identical lattice: subgroups, containment rows, classes and index.
 Non-solvable groups, the only ones the second sweep runs on, are
 checked against it too, and the solvable flag against Hall's
-p-complement criterion.
+p-complement criterion.  Renaming the elements of a table must change
+no answer, only which elements each subgroup holds.
 """
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from latcover.errors import SubgroupCapExceeded
 from latcover.groups import build_group, parse_spec
-from latcover.subgroups import enumerate_subgroups
+from latcover.posets import KINDS, breaking_points, build_poset, hasse_edges, two_interval_cover
+from latcover.structure import build_profile
+from latcover.subgroups import conjugacy_classes, enumerate_subgroups
 from latcover.verify import CATALOG, FAMILY_NAMES, _family_specs, analyze_spec
 
 SMALL = (
@@ -127,3 +134,30 @@ def test_subgroup_cap_trips_iff_group_has_more_subgroups(spec):
                 enumerate_subgroups(g, max_subgroups=cap)
         else:
             assert len(enumerate_subgroups(g, max_subgroups=cap)) == count
+
+
+def _answers(g):
+    """The lattice of g, and every answer read off it that does not name an element."""
+    lat = enumerate_subgroups(g)
+    ccp = conjugacy_classes(lat)
+    views = {kind: build_poset(lat, ccp, kind) for kind in KINDS}
+    w = two_interval_cover(views["Lbar"], find_all=True)
+    return lat, (
+        len(lat.subs),
+        len(ccp.classes),
+        build_profile(g, lat, ccp),
+        {kind: (v.size, [v.labels[x] for x in breaking_points(v)], len(hasse_edges(v))) for kind, v in views.items()},
+        len(w.all_pairs) if w else 0,
+    )
+
+
+@pytest.mark.parametrize("spec", [*CATALOG, "S4xC2xC2", "C2xC2xC2xD8", "A5xC2", "S5", PSL27, "ZM(7,3,2)xC2xC2", "SD32", "Q16xC3"])
+@settings(max_examples=3, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_relabelling_changes_no_answer(spec, seed):
+    g = analyze_spec(spec).group
+    s = [0, *random.Random(seed).sample(range(1, g.order), g.order - 1)]
+    lat, answers = _answers(g)
+    moved_lat, moved_answers = _answers(oracles.relabelled(g, s))
+    assert {tuple(sorted(s[x] for x in sub.elems)) for sub in lat.subs} == {sub.elems for sub in moved_lat.subs}
+    assert answers == moved_answers

@@ -14,11 +14,10 @@ from latcover.subgroups import (
     Subgroup,
     closure,
     conjugacy_classes,
-    conjugate_subgroup,
     enumerate_subgroups,
-    normalizer,
 )
 from latcover.verify import CATALOG, FAMILY_NAMES, _family_specs, analyze_spec
+from oracles import conjugate_subgroup, normalizer
 
 # independently known subgroup counts
 COUNTS = {

@@ -1,9 +1,11 @@
 """Verification suites, the pinned catalog, and the family scan."""
 
 import hashlib
+import math
 
 import pytest
 
+from latcover.groups import ZM
 from latcover.verify import (
     CATALOG,
     FAMILY_NAMES,
@@ -211,6 +213,43 @@ def test_scan_row_dict_keys():
     assert d["bp_Lbar"] is True
     assert d["is_nilpotent"] is True
     assert d["skipped"] is None
+
+
+def test_scan_runs_a_repeated_family_once():
+    rows = scan_class_c(16, ("dicyclic", "dihedral", "dicyclic"))
+    assert rows == scan_class_c(16, ("dicyclic",)) + scan_class_c(16, ("dihedral",))
+
+
+@pytest.fixture(scope="module")
+def scan128():
+    return scan_class_c(128)
+
+
+def test_scan128_rows_outside_class_c(scan128):
+    assert all(r.skipped is None for r in scan128)
+    outside = [r for r in scan128 if not r.in_c]
+    assert [r.spec for r in outside if not r.is_cyclic] == ["D8", "D16", "D32", "D64", "D128", "S5", "A5"]
+    primes = [p for p in range(2, 129) if all(p % d for d in range(2, p))]
+    assert [r.spec for r in outside if r.is_cyclic] == ["C1", *(f"C{p}" for p in primes)]
+
+
+def test_scan128_isomorphic_specs_give_the_same_row(scan128):
+    rows = {}
+    for r in scan128:
+        d = r.to_dict()
+        rows[d.pop("spec")] = d
+    # ZM(m,n,r) is ZM(m,n,r^k) for k prime to n: the same y raised to the kth power
+    classes: dict[tuple, list[str]] = {}
+    for zm in ZM.members(128):
+        twists = frozenset(pow(zm.r, k, zm.m) for k in range(1, zm.n) if math.gcd(k, zm.n) == 1)
+        classes.setdefault((zm.m, zm.n, twists), []).append(zm.canonical())
+    assert (len(classes), sum(len(c) - 1 for c in classes.values())) == (116, 39)
+    pairs = [(c[0], spec) for c in classes.values() for spec in c[1:]]
+    # for odd m, D(2m) = ZM(m,2,m-1) and Dic(m) = ZM(m,4,m-1)
+    dihedral = [(f"D{2 * m}", f"ZM({m},2,{m - 1})") for m in range(3, 65, 2)]
+    dicyclic = [(f"Dic{m}", f"ZM({m},4,{m - 1})") for m in range(3, 33, 2)]
+    for a, b in pairs + dihedral + dicyclic:
+        assert rows[a] == rows[b], (a, b)
 
 
 def test_scan_counts_match_membership():
