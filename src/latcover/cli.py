@@ -8,9 +8,9 @@ Environment variables LATCOVER_MAX_ORDER, LATCOVER_MAX_SUBGROUPS,
 LATCOVER_POSET and LATCOVER_ALL_WITNESSES override the matching option
 defaults.  Stdout is for humans; machine-readable output goes to
 --json/--csv paths only.  Each JSON payload takes its keys, in order,
-from the fields of one dataclass: AnalysisReport and CaseResult by field
-name, ScanRow through SCAN_KEYS.  The scan CSV and stdout table share
-one list of cells per row.
+from the field names of one dataclass: AnalysisReport, CaseResult and
+ScanRow, whose field names are SCAN_KEYS.  The scan CSV and stdout
+table share one list of cells per row.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Any
 
@@ -34,7 +34,6 @@ from .verify import SCAN_KEYS, Analysis, ScanRow, analyze_spec, run_suites, scan
 
 # the CSV and table columns; a skipped row shows its reason in the last one
 SCAN_HEADER = SCAN_KEYS[:10]
-_SCAN_COLUMNS = [f.name for f in fields(ScanRow)][: len(SCAN_HEADER)]
 
 
 @dataclass(frozen=True)
@@ -132,7 +131,7 @@ def _cell(v: Any) -> str:
 
 
 def _scan_cells(r: ScanRow) -> list[str]:
-    cells = [_cell(getattr(r, name)) for name in _SCAN_COLUMNS]
+    cells = [_cell(getattr(r, key)) for key in SCAN_HEADER]
     if r.skipped is not None:
         cells[-1] = f"skipped:{r.skipped}"
     return cells
@@ -236,14 +235,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    families = tuple(args.families.split(",")) if args.families else None
+    families = None if args.families is None else tuple(args.families.split(","))
     rows = scan_class_c(args.max_order, families, args.max_subgroups)
     if args.csv:
         _write(args.csv, scan_rows_csv(rows))
     if args.json:
         _write_json(args.json, {"rows": [r.to_dict() for r in rows]})
     if args.csv or args.json:
-        members = sum(1 for r in rows if r.in_c)
+        members = sum(1 for r in rows if r.in_C)
         skipped = sum(1 for r in rows if r.skipped is not None)
         print(f"scanned {len(rows)} groups: {members} in class C, {skipped} skipped")
     else:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import PrimeNotInOrder
 from .groups import GroupTable, primes_of
-from .subgroups import ConjClassPoset, Subgroup, SubgroupLattice, closure
+from .subgroups import Subgroup, SubgroupLattice, closure
 
 
 def _check_prime(g: GroupTable, p: int) -> None:
@@ -62,7 +62,7 @@ def is_nilpotent(g: GroupTable, lat: SubgroupLattice) -> bool:
     return all(len(sylow_subgroups(g, lat, p)) == 1 for p in primes_of(g))
 
 
-def omega1(g: GroupTable, lat: SubgroupLattice, p: int) -> Subgroup:
+def omega1(g: GroupTable, p: int) -> Subgroup:
     """Subgroup generated by all elements of order p."""
     _check_prime(g, p)
     seeds = tuple(i for i, o in enumerate(g.element_orders) if o == p)
@@ -108,10 +108,10 @@ def is_cyclic_pgroup_order_ge_p2(g: GroupTable) -> bool:
     return is_cyclic(g)
 
 
-def order_p_subgroups_conjugate(g: GroupTable, lat: SubgroupLattice, ccp: ConjClassPoset, p: int) -> bool:
+def order_p_subgroups_conjugate(g: GroupTable, lat: SubgroupLattice, p: int) -> bool:
     """All subgroups of order p form one conjugacy class."""
     _check_prime(g, p)
-    return len({ccp.class_of[i] for i in lat.of_order(p)}) == 1
+    return len({lat.orbit[i] for i in lat.of_order(p)}) == 1
 
 
 def p_complement(g: GroupTable, lat: SubgroupLattice, p: int) -> Subgroup | None:
@@ -133,7 +133,7 @@ class StructureProfile:
     exponent_facts: dict[int, int]
 
 
-def build_profile(g: GroupTable, lat: SubgroupLattice, ccp: ConjClassPoset) -> StructureProfile:
+def build_profile(g: GroupTable, lat: SubgroupLattice) -> StructureProfile:
     ps = primes_of(g)
     counts = {p: len(lat.of_order(p)) for p in ps}
     return StructureProfile(

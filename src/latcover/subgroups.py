@@ -142,9 +142,18 @@ class SubgroupLattice:
         return len(self.subs)
 
     def index_of(self, elems: tuple[int, ...] | Subgroup) -> int:
+        """The listing index of a subgroup given by its elements, in any order.
+
+        A KeyError names any other set: one with a repeated or out of
+        range element, or one that is not closed.
+        """
         if not isinstance(elems, Subgroup):
             elems = Subgroup(tuple(elems))
-        return self._index[elems.mask]
+        n = self.group.order
+        i = self._index.get(elems.mask) if all(0 <= e < n for e in elems.elems) else None
+        if i is None or self.subs[i].order != elems.order:
+            raise KeyError(f"{elems.elems} is not a subgroup of {self.group.spec}")
+        return i
 
     @cached_property
     def _orders(self) -> list[int]:
@@ -367,16 +376,14 @@ class ConjClassPoset:
     """Conjugacy classes of subgroups, a partition of the lattice.
 
     classes[c] lists the subgroup indices of one conjugation orbit;
-    rep[c] is the least of them, classes are numbered by rep, and
-    class_of maps each subgroup index to its class, as lat.orbit does.  The order on
+    rep[c] is the least of them, and classes are numbered by rep, so
+    lat.orbit maps each subgroup index to its class.  The order on
     classes is not kept here: build_poset derives it for the Lbar and
     Cbar views.
     """
 
-    lattice: SubgroupLattice
     classes: list[tuple[int, ...]]
     rep: list[int]
-    class_of: list[int]
 
     def __len__(self) -> int:
         return len(self.classes)
@@ -389,4 +396,4 @@ def conjugacy_classes(lat: SubgroupLattice) -> ConjClassPoset:
             members.append([])
         members[c].append(i)
     classes = [tuple(m) for m in members]
-    return ConjClassPoset(lattice=lat, classes=classes, rep=[cls[0] for cls in classes], class_of=list(lat.orbit))
+    return ConjClassPoset(classes=classes, rep=[cls[0] for cls in classes])

@@ -124,7 +124,7 @@ def _analyze(spec: str, max_order: int, max_subgroups: int) -> Analysis:
     lat = enumerate_subgroups(g, max_subgroups)
     ccp = conjugacy_classes(lat)
     posets = {kind: build_poset(lat, ccp, kind) for kind in KINDS}
-    return Analysis(parsed.canonical(), g, lat, ccp, posets, build_profile(g, lat, ccp))
+    return Analysis(parsed.canonical(), g, lat, ccp, posets, build_profile(g, lat))
 
 
 @lru_cache(maxsize=128)
@@ -187,7 +187,7 @@ def _case(group: str, claim: str, expected: Any, computed: Any, witness: Any = N
 
 def _class_node(a: Analysis, sub: Subgroup | tuple[int, ...]) -> int:
     """The Lbar node of the conjugacy class of a subgroup of a.group; the inverse of Analysis.class_rep."""
-    return a.classes.class_of[a.lattice.index_of(sub)]
+    return a.lattice.orbit[a.lattice.index_of(sub)]
 
 
 def _cover_case(
@@ -276,7 +276,7 @@ def verify_prop4_prop5() -> SuiteResult:
         cases.append(_cover_case(a, spec, "named-pair-covers", m_named, n_named))
         named = (_class_node(a, m_named), _class_node(a, n_named))
         cases.append(_case(spec, "named-pair-among-witnesses", True, named in w.all_pairs))
-        om = omega1(g, lat, p)
+        om = omega1(g, p)
         ph = frattini(g, lat)
         cases.append(_case(spec, "first-witness-m-contains-omega1", True, view.le(_class_node(a, om), w.m_idx)))
         cases.append(_case(spec, "first-witness-n-inside-frattini", True, view.le(w.n_idx, _class_node(a, ph))))
@@ -297,7 +297,7 @@ def _qualifying_primes(a: Analysis) -> list[tuple[int, Subgroup, Subgroup]]:
     """
     out = []
     for p in a.profile.primes:
-        if not order_p_subgroups_conjugate(a.group, a.lattice, a.classes, p):
+        if not order_p_subgroups_conjugate(a.group, a.lattice, p):
             continue
         comp = p_complement(a.group, a.lattice, p)
         if comp is None:
@@ -337,10 +337,10 @@ def verify_theorem6_and_corollaries() -> SuiteResult:
     # solvability matters: the smallest nonsolvable group stays out
     a5 = analyze_spec("A5")
     cases.append(
-        _case("A5", "order-3-single-class", True, order_p_subgroups_conjugate(a5.group, a5.lattice, a5.classes, 3))
+        _case("A5", "order-3-single-class", True, order_p_subgroups_conjugate(a5.group, a5.lattice, 3))
     )
     cases.append(
-        _case("A5", "order-5-single-class", True, order_p_subgroups_conjugate(a5.group, a5.lattice, a5.classes, 5))
+        _case("A5", "order-5-single-class", True, order_p_subgroups_conjugate(a5.group, a5.lattice, 5))
     )
     cases.append(_case("A5", "solvable", False, a5.profile.is_solvable))
     cases.append(_case("A5", "in-class-c", False, in_class_c(a5)))
@@ -353,7 +353,7 @@ def verify_theorem6_and_corollaries() -> SuiteResult:
                 "C2xC2xM3^3",
                 f"order-{p}-classes-not-single",
                 False,
-                order_p_subgroups_conjugate(big.group, big.lattice, big.classes, p),
+                order_p_subgroups_conjugate(big.group, big.lattice, p),
             )
         )
     cases.append(_case("C2xC2xM3^3", "qualifying-primes", [], [p for p, _, _ in _qualifying_primes(big)]))
@@ -447,37 +447,17 @@ def _family_specs(family: str, max_order: int) -> list[str]:
     return [spec.canonical() for spec in _family(family).members(max_order)]
 
 
-# the payload key of each ScanRow field, in field order; CSV and table show the first ten
-SCAN_KEYS = (
-    "spec",
-    "order",
-    "n_subgroups",
-    "n_classes",
-    "bp_L",
-    "bp_Lbar",
-    "bp_C",
-    "bp_Cbar",
-    "in_C",
-    "witnesses",
-    "is_abelian",
-    "is_cyclic",
-    "is_nilpotent",
-    "is_solvable",
-    "skipped",
-)
-
-
 @dataclass(frozen=True)
 class ScanRow:
     spec: str
     order: int
     n_subgroups: int | None = None
     n_classes: int | None = None
-    bp_l: bool | None = None
-    bp_lbar: bool | None = None
-    bp_c: bool | None = None
-    bp_cbar: bool | None = None
-    in_c: bool | None = None
+    bp_L: bool | None = None
+    bp_Lbar: bool | None = None
+    bp_C: bool | None = None
+    bp_Cbar: bool | None = None
+    in_C: bool | None = None
     witnesses: int | None = None
     is_abelian: bool | None = None
     is_cyclic: bool | None = None
@@ -487,10 +467,11 @@ class ScanRow:
 
     def to_dict(self) -> dict[str, Any]:
         # getattr, not asdict: asdict deep-copies every value
-        return {key: getattr(self, name) for key, name in _SCAN_FIELDS}
+        return {key: getattr(self, key) for key in SCAN_KEYS}
 
 
-_SCAN_FIELDS = tuple(zip(SCAN_KEYS, [f.name for f in fields(ScanRow)], strict=True))
+# the scan payload keys, the field names in field order; CSV and table show the first ten
+SCAN_KEYS = tuple(f.name for f in fields(ScanRow))
 
 
 def scan_class_c(
@@ -522,11 +503,11 @@ def scan_class_c(
                 order=a.group.order,
                 n_subgroups=len(a.lattice.subs),
                 n_classes=len(a.classes.classes),
-                bp_l=bool(breaking_points(a.posets["L"])),
-                bp_lbar=bool(breaking_points(a.posets["Lbar"])),
-                bp_c=bool(breaking_points(a.posets["C"])),
-                bp_cbar=bool(breaking_points(a.posets["Cbar"])),
-                in_c=w is not None,
+                bp_L=bool(breaking_points(a.posets["L"])),
+                bp_Lbar=bool(breaking_points(a.posets["Lbar"])),
+                bp_C=bool(breaking_points(a.posets["C"])),
+                bp_Cbar=bool(breaking_points(a.posets["Cbar"])),
+                in_C=w is not None,
                 witnesses=len(w.all_pairs) if w is not None else 0,
                 is_abelian=a.profile.is_abelian,
                 is_cyclic=a.profile.is_cyclic,

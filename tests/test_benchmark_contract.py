@@ -27,6 +27,20 @@ def test_workload_outputs_match_reference(workload):
     assert workloads.mismatches(workload, outputs, REFERENCE[workload]) == []
 
 
+@pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
+def test_traced_workload_outputs_match_reference(workload):
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        outputs = workloads.run_pass(workload, list(workloads.WORKLOADS[workload][0]), tracer)
+    finally:
+        tracer.uninstall()
+    assert workloads.mismatches(workload, outputs, REFERENCE[workload]) == []
+    # the harness dumps every span, with the spec string of its analysis, as JSON
+    assert tracer.spans
+    json.dumps(tracer.spans)
+
+
 @pytest.mark.parametrize(
     "module,attr",
     [(module, attr) for module, attr, _, _ in tracing.PATCHES],

@@ -291,6 +291,13 @@ def test_scan_unknown_family_is_exit_2(capsys):
     assert "unknown family" in capsys.readouterr().err
 
 
+def test_scan_empty_family_list_is_exit_2(capsys):
+    assert main(["scan", "--max-order", "8", "--families", ""]) == 2
+    captured = capsys.readouterr()
+    assert "unknown family ''" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -145,7 +145,7 @@ def _answers(g):
     return lat, (
         len(lat.subs),
         len(ccp.classes),
-        build_profile(g, lat, ccp),
+        build_profile(g, lat),
         {kind: (v.size, [v.labels[x] for x in breaking_points(v)], len(hasse_edges(v))) for kind, v in views.items()},
         len(w.all_pairs) if w else 0,
     )

@@ -7,6 +7,7 @@ import pytest
 
 import oracles
 from latcover.errors import NotComparable
+from latcover.groups import build_group
 from latcover.posets import (
     KINDS,
     breaking_points,
@@ -17,7 +18,8 @@ from latcover.posets import (
     subgroup_is_cyclic,
     two_interval_cover,
 )
-from latcover.verify import CATALOG, analyze_spec
+from latcover.subgroups import conjugacy_classes, enumerate_subgroups
+from latcover.verify import CATALOG, FAMILY_NAMES, _family_specs, analyze_spec
 
 MIDSIZE = ("S3", "C12", "D8", "Q8", "Q16", "A4", "D12", "SD16", "M3^3", "C2xC2")
 # the catalog plus the lattice-heavy groups of the benchmark's lattices workload
@@ -285,3 +287,21 @@ def test_hasse_matches_networkx_transitive_reduction(spec, kind):
     dag.add_nodes_from(range(view.size))
     dag.add_edges_from((x, y) for x in range(view.size) for y in range(view.size) if x != y and view.le(x, y))
     assert hasse_edges(view) == sorted(nx.transitive_reduction(dag).edges())
+
+
+def test_breaking_points_of_l_and_c_are_the_one_member_classes_of_lbar_and_cbar():
+    # a breaking point is comparable with its conjugates, which have its order, so it is
+    # normal; for a normal H, K <= H iff [K] <= [H], and H <= K iff [H] <= [K]
+    specs = dict.fromkeys([*(s for fam in FAMILY_NAMES for s in _family_specs(fam, 128)), *CATALOG])
+    with_points = 0
+    for spec in specs:
+        lat = enumerate_subgroups(build_group(spec))
+        ccp = conjugacy_classes(lat)
+        for kind in ("L", "C"):
+            view, class_view = build_poset(lat, ccp, kind), build_poset(lat, ccp, kind + "bar")
+            node = {sub: x for x, sub in enumerate(view.payload)}
+            singles = [ccp.classes[class_view.payload[x]] for x in breaking_points(class_view)]
+            expected = sorted(node[cls[0]] for cls in singles if len(cls) == 1)
+            assert breaking_points(view) == expected, (spec, kind)
+            with_points += bool(expected)
+    assert (len(specs), with_points) == (395, 36)

@@ -105,9 +105,9 @@ def test_prime_check_rejects_at_once(p):
     a = analyze_spec("S4")
     calls = (
         lambda: sylow_subgroups(a.group, a.lattice, p),
-        lambda: omega1(a.group, a.lattice, p),
+        lambda: omega1(a.group, p),
         lambda: p_complement(a.group, a.lattice, p),
-        lambda: order_p_subgroups_conjugate(a.group, a.lattice, a.classes, p),
+        lambda: order_p_subgroups_conjugate(a.group, a.lattice, p),
     )
     for call in calls:
         start = time.perf_counter()
@@ -124,15 +124,15 @@ def test_nilpotency():
 
 def test_omega1():
     d16 = analyze_spec("D16")
-    assert omega1(d16.group, d16.lattice, 2).order == 16
+    assert omega1(d16.group, 2).order == 16
     m33 = analyze_spec("M3^3")
-    assert omega1(m33.group, m33.lattice, 3).order == 9
+    assert omega1(m33.group, 3).order == 9
     c9 = analyze_spec("C9")
-    assert omega1(c9.group, c9.lattice, 3).order == 3
+    assert omega1(c9.group, 3).order == 3
     v4 = analyze_spec("C2xC2")
-    assert omega1(v4.group, v4.lattice, 2).order == 4
+    assert omega1(v4.group, 2).order == 4
     with pytest.raises(PrimeNotInOrder):
-        omega1(d16.group, d16.lattice, 3)
+        omega1(d16.group, 3)
 
 
 def test_maximal_subgroups():
@@ -187,14 +187,14 @@ def test_cyclic_pgroup_recognizer():
 def test_order_p_conjugacy():
     a5 = analyze_spec("A5")
     for p in (2, 3, 5):
-        assert order_p_subgroups_conjugate(a5.group, a5.lattice, a5.classes, p)
+        assert order_p_subgroups_conjugate(a5.group, a5.lattice, p)
     v4 = analyze_spec("C2xC2")
-    assert not order_p_subgroups_conjugate(v4.group, v4.lattice, v4.classes, 2)
+    assert not order_p_subgroups_conjugate(v4.group, v4.lattice, 2)
     s4 = analyze_spec("S4")
-    assert not order_p_subgroups_conjugate(s4.group, s4.lattice, s4.classes, 2)
-    assert order_p_subgroups_conjugate(s4.group, s4.lattice, s4.classes, 3)
+    assert not order_p_subgroups_conjugate(s4.group, s4.lattice, 2)
+    assert order_p_subgroups_conjugate(s4.group, s4.lattice, 3)
     with pytest.raises(PrimeNotInOrder):
-        order_p_subgroups_conjugate(a5.group, a5.lattice, a5.classes, 7)
+        order_p_subgroups_conjugate(a5.group, a5.lattice, 7)
 
 
 def test_p_complement():
@@ -225,7 +225,7 @@ def test_solvable_groups_have_all_p_complements():
 
 def test_profile_s4():
     a = analyze_spec("S4")
-    pr = build_profile(a.group, a.lattice, a.classes)
+    pr = build_profile(a.group, a.lattice)
     assert pr.primes == (2, 3)
     assert not pr.is_abelian
     assert not pr.is_cyclic
@@ -323,7 +323,7 @@ def test_profile_flags_match_oracles_and_sympy():
     for spec in PROFILE_SPECS:
         g = build_group(spec)
         lat = enumerate_subgroups(g)
-        pr = build_profile(g, lat, conjugacy_classes(lat))
+        pr = build_profile(g, lat)
         got = (pr.is_abelian, pr.is_nilpotent, pr.is_solvable, derived_subgroup(g).order)
         oracle = (
             oracles.sweep_is_abelian(g),

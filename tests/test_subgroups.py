@@ -1,5 +1,7 @@
 """Subgroup closure, enumeration, and conjugacy classes."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -165,6 +167,23 @@ def test_index_of_roundtrip():
         lat.index_of((0, 1))  # not closed in Q8
 
 
+@pytest.mark.parametrize(
+    "elems",
+    [(0, 0, 1), (0, 99), (-1, 0), (0, 1, 2), (0, 6)],
+    ids=["repeated", "out-of-range", "negative", "not-closed", "just-past-the-end"],
+)
+def test_index_of_rejects_a_set_that_is_not_a_listed_subgroup(elems):
+    lat = analyze_spec("S3").lattice
+    with pytest.raises(KeyError, match=rf"^'{re.escape(str(elems))} is not a subgroup of S3'$"):
+        lat.index_of(elems)
+
+
+def test_index_of_takes_the_elements_in_any_order():
+    lat = analyze_spec("S3").lattice
+    assert lat.index_of((1, 0)) == 1
+    assert lat.index_of((4, 0, 3)) == 4
+
+
 @pytest.mark.parametrize("spec", ["D12", "S4", "C2xC2xC2xC2"])
 def test_subset_bitrows_match_containment(spec):
     lat = analyze_spec(spec).lattice
@@ -241,7 +260,7 @@ def test_conjugacy_classes_s3():
     assert a.classes.rep == [0, 1, 4, 5]
     for c, cls in enumerate(a.classes.classes):
         for i in cls:
-            assert a.classes.class_of[i] == c
+            assert a.lattice.orbit[i] == c
 
 
 def test_classes_partition_lattice():

@@ -170,8 +170,8 @@ def test_scan_rows_dihedral():
     rows = scan_class_c(16, ("dihedral",))
     assert [r.spec for r in rows] == ["D6", "D8", "D10", "D12", "D14", "D16"]
     by = {r.spec: r for r in rows}
-    assert by["D6"].in_c and by["D6"].witnesses == 2
-    assert not by["D8"].in_c and by["D8"].witnesses == 0
+    assert by["D6"].in_C and by["D6"].witnesses == 2
+    assert not by["D8"].in_C and by["D8"].witnesses == 0
     assert by["D16"].n_subgroups == 19
     assert all(r.skipped is None for r in rows)
 
@@ -184,7 +184,7 @@ def test_scan_marks_capped_rows_skipped():
         r = by[spec]
         assert r.skipped == "subgroup-cap"
         assert r.order == int(spec[1:])
-        assert r.in_c is None and r.witnesses is None and r.n_subgroups is None
+        assert r.in_C is None and r.witnesses is None and r.n_subgroups is None
 
 
 def test_scan_row_dict_keys():
@@ -227,7 +227,7 @@ def scan128():
 
 def test_scan128_rows_outside_class_c(scan128):
     assert all(r.skipped is None for r in scan128)
-    outside = [r for r in scan128 if not r.in_c]
+    outside = [r for r in scan128 if not r.in_C]
     assert [r.spec for r in outside if not r.is_cyclic] == ["D8", "D16", "D32", "D64", "D128", "S5", "A5"]
     primes = [p for p in range(2, 129) if all(p % d for d in range(2, p))]
     assert [r.spec for r in outside if r.is_cyclic] == ["C1", *(f"C{p}" for p in primes)]
@@ -256,8 +256,8 @@ def test_scan_counts_match_membership():
     rows = scan_class_c(27, ("cyclic",))
     for r in rows:
         if r.spec in IN_CLASS:
-            assert r.in_c == IN_CLASS[r.spec], r.spec
-        assert r.in_c == (r.witnesses > 0)
+            assert r.in_C == IN_CLASS[r.spec], r.spec
+        assert r.in_C == (r.witnesses > 0)
 
 
 def test_family_names_frozen():
