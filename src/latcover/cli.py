@@ -80,7 +80,7 @@ def build_report(a: Analysis, all_witnesses: bool, elapsed_s: float) -> Analysis
         bps = breaking_points(view)
         summaries.append(PosetSummary(kind, view.size, [view.labels[x] for x in bps]))
     view = a.posets["Lbar"]
-    w = two_interval_cover(view, find_all=all_witnesses)
+    w = two_interval_cover(view)
     if w is None:
         cc = ClassCReport(False, None, None, 0 if all_witnesses else None)
     else:
@@ -95,7 +95,7 @@ def build_report(a: Analysis, all_witnesses: bool, elapsed_s: float) -> Analysis
         )
     pr = a.profile
     return AnalysisReport(
-        spec=a.spec,
+        spec=a.group.spec,
         order=a.group.order,
         primes=list(pr.primes),
         is_abelian=pr.is_abelian,
@@ -261,50 +261,45 @@ def _cap(raw: str) -> int:
     return value
 
 
-def _env_cap(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None or raw == "":
-        return default
-    try:
-        return _cap(raw)
-    except argparse.ArgumentTypeError as exc:
-        raise ValueError(f"{name}: {exc}") from None
-
-
-def _env_flag(name: str) -> bool:
-    raw = os.environ.get(name, "").strip().lower()
-    if raw in ("", "0", "false", "no", "off"):
+def _flag(raw: str) -> bool:
+    value = raw.lower()
+    if value in ("0", "false", "no", "off"):
         return False
-    if raw in ("1", "true", "yes", "on"):
+    if value in ("1", "true", "yes", "on"):
         return True
-    raise ValueError(f"{name} must be a boolean-ish value, got {raw!r}")
+    raise argparse.ArgumentTypeError(f"must be a boolean-ish value, got {value!r}")
 
 
-def _env_poset(name: str) -> str:
-    poset = os.environ.get(name, "Lbar")
-    if poset not in KINDS:
-        raise ValueError(f"{name} must be one of {', '.join(KINDS)}, got {poset!r}")
-    return poset
+def _poset(raw: str) -> str:
+    if raw not in KINDS:
+        raise argparse.ArgumentTypeError(f"must be one of {', '.join(KINDS)}, got {raw!r}")
+    return raw
 
 
-# the variable that overrides each option's default, in the order they are
-# checked; a command reads only the variables of the options it has
+# the variable that overrides each option's default, its parser and the value
+# it gives when unset or blank, in the order they are checked; a command reads
+# only the variables of the options it has
 _ENV_DEFAULTS = (
-    ("max_order", "LATCOVER_MAX_ORDER", lambda name: _env_cap(name, DEFAULT_MAX_ORDER)),
-    ("max_subgroups", "LATCOVER_MAX_SUBGROUPS", lambda name: _env_cap(name, DEFAULT_MAX_SUBGROUPS)),
-    ("poset", "LATCOVER_POSET", _env_poset),
-    ("all_witnesses", "LATCOVER_ALL_WITNESSES", _env_flag),
+    ("max_order", "LATCOVER_MAX_ORDER", _cap, DEFAULT_MAX_ORDER),
+    ("max_subgroups", "LATCOVER_MAX_SUBGROUPS", _cap, DEFAULT_MAX_SUBGROUPS),
+    ("poset", "LATCOVER_POSET", _poset, "Lbar"),
+    ("all_witnesses", "LATCOVER_ALL_WITNESSES", _flag, False),
 )
 
 
 def _parse_args(argv: list[str] | None) -> argparse.Namespace:
     """The command line, with an unset option taking its default from the environment."""
     args = _build_parser().parse_args(argv)
-    for dest, name, read in _ENV_DEFAULTS:
-        if hasattr(args, dest):
-            value = read(name)  # checked even when the option is given
-            if getattr(args, dest) is None:
-                setattr(args, dest, value)
+    for dest, name, parse, default in _ENV_DEFAULTS:
+        if not hasattr(args, dest):
+            continue
+        raw = os.environ.get(name, "").strip()
+        try:
+            value = parse(raw) if raw else default  # checked even when the option is given
+        except argparse.ArgumentTypeError as exc:
+            raise ValueError(f"{name}: {exc}") from None
+        if getattr(args, dest) is None:
+            setattr(args, dest, value)
     return args
 
 

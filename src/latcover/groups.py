@@ -88,7 +88,11 @@ class GroupTable:
 
     @cached_property
     def generators(self) -> list[int] | None:
-        """At most order.bit_length() elements generating the group, or None if the table is not a group."""
+        """At most order.bit_length() elements generating the group.
+
+        None means more were needed, so the table is not a group; a table
+        that is not a group may still get a list.
+        """
         return _right_generators(self.mul)
 
 
@@ -641,28 +645,6 @@ FAMILIES: dict[str, type[GroupSpec]] = {
 # spec grammar
 
 
-def _split_product(text: str) -> list[str]:
-    parts = []
-    depth = 0
-    cur = []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise SpecInvalid(f"unbalanced parentheses in {text!r}")
-        if ch == "x" and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    if depth:
-        raise SpecInvalid(f"unbalanced parentheses in {text!r}")
-    parts.append("".join(cur))
-    return parts
-
-
 def _int(digits: str) -> int:
     try:
         return int(digits)
@@ -701,7 +683,7 @@ def parse_spec(text: str) -> GroupSpec:
     s = text.strip()
     if not s:
         raise SpecInvalid("empty group spec")
-    parts = _split_product(s)
+    parts = s.split("x")  # no atom has an x in it
     if len(parts) == 1:
         return _parse_atom(s)
     if any(not p for p in parts):

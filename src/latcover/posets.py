@@ -40,7 +40,6 @@ class PosetView:
     labels: list[str]
     payload: list[int]      # subgroup index (L, C) or class index (Lbar, Cbar)
     orders: list[int]
-    bottom_idx: int
     top_idx: int | None
 
     @property
@@ -100,13 +99,12 @@ def build_poset(lat: SubgroupLattice, ccp: ConjClassPoset, kind: str) -> PosetVi
         labels=labels,
         payload=keep,
         orders=orders,
-        bottom_idx=0,
-        top_idx=len(keep) - 1 if reps[keep[-1]] == lat.full_idx else None,
+        top_idx=len(keep) - 1 if reps[keep[-1]] == len(lat.subs) - 1 else None,
     )
 
 
 def breaking_points(p: PosetView) -> list[int]:
-    """Nodes comparable to everything, other than the bottom and the top.
+    """Nodes comparable to everything, other than the bottom (node 0) and the top.
 
     In a view without a top, maximal nodes are excluded as well;
     anything below the missing whole group would not separate it.
@@ -117,8 +115,8 @@ def breaking_points(p: PosetView) -> list[int]:
     leq = p.leq
     full = (1 << p.size) - 1
     out = []
-    for x in range(p.size):
-        if x == p.bottom_idx or x == p.top_idx:
+    for x in range(1, p.size):
+        if x == p.top_idx:
             continue
         if p.top_idx is None and leq[x] == 1 << x:
             continue
@@ -129,17 +127,20 @@ def breaking_points(p: PosetView) -> list[int]:
 
 @dataclass(frozen=True)
 class IntervalCoverWitness:
-    """A pair (m, n) whose down-set and up-set jointly cover the poset."""
+    """A pair (m, n) whose down-set and up-set jointly cover the poset.
+
+    all_pairs lists every such pair in search order; (m_idx, n_idx) is its first.
+    """
 
     m_idx: int
     n_idx: int
-    all_pairs: tuple[tuple[int, int], ...] | None = None
+    all_pairs: tuple[tuple[int, int], ...]
 
 
-def two_interval_cover(p: PosetView, find_all: bool = False) -> IntervalCoverWitness | None:
-    """First (m, n) with every node below m or above n, or None.
+def two_interval_cover(p: PosetView) -> IntervalCoverWitness | None:
+    """Every (m, n) with every node below m or above n, or None if there is none.
 
-    Bottom and top are excluded as candidates for both slots; m = n is
+    Bottom (node 0) and top are excluded as candidates for both slots; m = n is
     allowed.  Search order is fixed: m by descending order then label, n
     by ascending order then label, ties by node index.  For each n, the
     m that work are those above every node not above n, the AND of their
@@ -147,10 +148,10 @@ def two_interval_cover(p: PosetView, find_all: bool = False) -> IntervalCoverWit
     are the shortest, so the AND soon empties when no m works.
     """
     full = (1 << p.size) - 1
-    eligible = [x for x in range(p.size) if x != p.bottom_idx and x != p.top_idx]
+    eligible = [x for x in range(1, p.size) if x != p.top_idx]
     m_rank = {m: r for r, m in enumerate(sorted(eligible, key=lambda i: (-p.orders[i], p.labels[i])))}
     n_rank = {n: r for r, n in enumerate(sorted(eligible, key=lambda i: (p.orders[i], p.labels[i])))}
-    elig = full & ~(1 << p.bottom_idx)
+    elig = full & ~1
     if p.top_idx is not None:
         elig &= ~(1 << p.top_idx)
     leq = p.leq
@@ -170,7 +171,7 @@ def two_interval_cover(p: PosetView, find_all: bool = False) -> IntervalCoverWit
         return None
     found.sort()
     pairs = tuple((m, n) for _, _, m, n in found)
-    return IntervalCoverWitness(pairs[0][0], pairs[0][1], pairs if find_all else None)
+    return IntervalCoverWitness(pairs[0][0], pairs[0][1], pairs)
 
 
 def _check_nodes(p: PosetView, *nodes: int) -> None:

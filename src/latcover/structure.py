@@ -70,7 +70,7 @@ def omega1(g: GroupTable, p: int) -> Subgroup:
 
 
 def maximal_subgroups(lat: SubgroupLattice) -> list[int]:
-    full = lat.full_idx
+    full = len(lat.subs) - 1
     return [
         i
         for i in range(len(lat.subs))
@@ -126,23 +126,17 @@ class StructureProfile:
     primes: tuple[int, ...]
     is_abelian: bool
     is_cyclic: bool
-    is_p_group: bool
     is_nilpotent: bool
     is_solvable: bool
     is_generalized_quaternion: bool
-    exponent_facts: dict[int, int]
 
 
 def build_profile(g: GroupTable, lat: SubgroupLattice) -> StructureProfile:
-    ps = primes_of(g)
-    counts = {p: len(lat.of_order(p)) for p in ps}
     return StructureProfile(
-        primes=tuple(ps),
+        primes=tuple(primes_of(g)),
         is_abelian=is_abelian(g),
         is_cyclic=is_cyclic(g),
-        is_p_group=len(ps) == 1,
         is_nilpotent=is_nilpotent(g, lat),
         is_solvable=lat.solvable,
         is_generalized_quaternion=is_generalized_quaternion(g, lat),
-        exponent_facts=counts,
     )

@@ -122,19 +122,20 @@ def _zuppos(g: GroupTable) -> list[int]:
 class SubgroupLattice:
     """All subgroups of a group, ordered by inclusion.
 
-    subset is a bitrow per subgroup: bit j of subset[i] means subs[i] is
-    contained in subs[j].  orbit[i] is the class number of subs[i]:
-    orbits are numbered by their least member, so class numbers come
-    from the listing, not from the order in which the search found
-    them.  solvable tells whether the group is solvable, which the
-    search's prime-index sweep finds out on the way.
+    subs lists them by order, then elements, so subs[0] is the trivial
+    subgroup and the whole group is the last.  subset is a bitrow per
+    subgroup: bit j of subset[i] means subs[i] is contained in subs[j].
+    orbit[i] is the class number of subs[i]: orbits are numbered by
+    their least member, so class numbers come from the listing, not
+    from the order in which the search found them.  solvable tells
+    whether the group is solvable, which the search's prime-index sweep
+    finds out on the way.
     """
 
     group: GroupTable
     subs: list[Subgroup]
     subset: list[int]
     orbit: list[int]
-    full_idx: int
     solvable: bool
     _index: dict[int, int] = field(repr=False, default_factory=dict)
 
@@ -365,7 +366,6 @@ def enumerate_subgroups(g: GroupTable, max_subgroups: int = DEFAULT_MAX_SUBGROUP
         subs=subs,
         subset=subset,
         orbit=[rank[k] for *_, k in ordered],
-        full_idx=len(subs) - 1,
         solvable=solvable,
         _index={mask: i for i, (_, _, mask, _) in enumerate(ordered)},
     )

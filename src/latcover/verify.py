@@ -13,7 +13,7 @@ from functools import lru_cache
 from typing import Any, Callable
 
 from .errors import SubgroupCapExceeded
-from .groups import DEFAULT_MAX_ORDER, FAMILIES, GroupSpec, GroupTable, build_group, parse_spec
+from .groups import DEFAULT_MAX_ORDER, FAMILIES, GroupSpec, GroupTable, build_group
 from .posets import (
     KINDS,
     PosetView,
@@ -104,9 +104,8 @@ CATALOG = (
 
 @dataclass
 class Analysis:
-    """Everything derived from one group spec, built once and shared."""
+    """Everything derived from one group spec, built once and shared; group.spec is the spec, canonical."""
 
-    spec: str
     group: GroupTable
     lattice: SubgroupLattice
     classes: ConjClassPoset
@@ -119,12 +118,11 @@ class Analysis:
 
 
 def _analyze(spec: str, max_order: int, max_subgroups: int) -> Analysis:
-    parsed = parse_spec(spec)
-    g = build_group(parsed, max_order)
+    g = build_group(spec, max_order)
     lat = enumerate_subgroups(g, max_subgroups)
     ccp = conjugacy_classes(lat)
     posets = {kind: build_poset(lat, ccp, kind) for kind in KINDS}
-    return Analysis(parsed.canonical(), g, lat, ccp, posets, build_profile(g, lat))
+    return Analysis(g, lat, ccp, posets, build_profile(g, lat))
 
 
 @lru_cache(maxsize=128)
@@ -232,7 +230,7 @@ def verify_theorem1(catalog: tuple[str, ...] | list[str] = CATALOG) -> SuiteResu
         )
         if not has:
             continue
-        cases.append(_case(spec, "is-p-group", True, a.profile.is_p_group))
+        cases.append(_case(spec, "is-p-group", True, len(a.profile.primes) == 1))
         for x in bps:
             o = view.orders[x]
             count = len(a.lattice.of_order(o))
@@ -265,7 +263,7 @@ def verify_prop4_prop5() -> SuiteResult:
         a = analyze_spec(spec)
         g, lat = a.group, a.lattice
         view = a.posets["Lbar"]
-        w = two_interval_cover(view, find_all=True)
+        w = two_interval_cover(view)
         cases.append(_case(spec, "in-class-c", True, w is not None))
         if w is None:
             continue
@@ -284,7 +282,7 @@ def verify_prop4_prop5() -> SuiteResult:
         cases.append(_case(spec, "omega1-order", p * p, om.order))
         cases.append(_case(spec, "frattini-generated-by-x-p", True, ph.elems == closure(g, (xp,)).elems))
         cases.append(_case(spec, "frattini-index", p * p, g.order // ph.order))
-        cases.append(_case(spec, "minimal-subgroup-count", p + 1, a.profile.exponent_facts[p]))
+        cases.append(_case(spec, "minimal-subgroup-count", p + 1, len(lat.of_order(p))))
     for spec in ("D8", "D16", "D32"):
         cases.append(_case(spec, "in-class-c", False, in_class_c(analyze_spec(spec))))
     return SuiteResult("prop4-5", cases)
@@ -402,7 +400,6 @@ def verify_theorem9() -> SuiteResult:
     return SuiteResult("theorem9", cases)
 
 
-SUITE_ORDER = ("theorem1", "corollary3", "prop4-5", "theorem6", "theorem9")
 SUITES: dict[str, Callable[[], SuiteResult]] = {
     "theorem1": verify_theorem1,
     "corollary3": verify_corollary3,
@@ -410,23 +407,15 @@ SUITES: dict[str, Callable[[], SuiteResult]] = {
     "theorem6": verify_theorem6_and_corollaries,
     "theorem9": verify_theorem9,
 }
+SUITE_ORDER = tuple(SUITES)
 
 
 def run_suites(names: tuple[str, ...] | list[str]) -> list[SuiteResult]:
-    """Run the named suites in canonical order; 'all' expands to every suite."""
-    want: list[str] = []
+    """Run the named suites in canonical order, each once; 'all' names every suite."""
     for nm in names:
-        if nm == "all":
-            want.extend(SUITE_ORDER)
-        elif nm in SUITES:
-            want.append(nm)
-        else:
-            raise ValueError(
-                f"unknown suite {nm!r}; choose from {', '.join(SUITE_ORDER)} or all"
-            )
-    seen: set[str] = set()
-    ordered = [nm for nm in want if not (nm in seen or seen.add(nm))]
-    return [SUITES[nm]() for nm in ordered]
+        if nm != "all" and nm not in SUITES:
+            raise ValueError(f"unknown suite {nm!r}; choose from {', '.join(SUITE_ORDER)} or all")
+    return [SUITES[nm]() for nm in SUITE_ORDER if nm in names or "all" in names]
 
 
 # ---------------------------------------------------------------------------
@@ -496,10 +485,10 @@ def scan_class_c(
             rows.append(ScanRow(spec=spec.canonical(), order=spec.expected_order(), skipped="subgroup-cap"))
             continue
         view = a.posets["Lbar"]
-        w = two_interval_cover(view, find_all=True)
+        w = two_interval_cover(view)
         rows.append(
             ScanRow(
-                spec=a.spec,
+                spec=a.group.spec,
                 order=a.group.order,
                 n_subgroups=len(a.lattice.subs),
                 n_classes=len(a.classes.classes),

@@ -2,7 +2,7 @@
 
 Everything here trades speed for obviousness: subgroups come from an
 exhaustive subset sweep or from the plain coset-skipping extension loop,
-poset facts from the raw definitions or from the transpose of leq, table
+the subgroup counts of abelian groups from a closed form, poset facts from the raw definitions or from the transpose of leq, table
 associativity from checking every triple, the abelian, nilpotent and
 solvable flags from sweeps over the table or from Hall p-complements in
 the lattice, element orders, conjugates and normalizers from their
@@ -32,6 +32,68 @@ _SUBGROUP_CACHE: dict[str, list[tuple[int, ...]]] = {}
 
 def _divisors(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def gaussian_binomial(n: int, k: int, q: int) -> int:
+    """The q-binomial [n choose k]_q: for a prime power q, the k-dimensional subspaces of GF(q)^n."""
+    num = den = 1
+    for i in range(k):
+        num *= q ** (n - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
+def _conjugate(parts: list[int], length: int) -> list[int]:
+    """The conjugate of a partition, padded with zeros to length entries."""
+    return [sum(1 for x in parts if x >= i) for i in range(1, length + 1)]
+
+
+def _partitions_inside(lam: list[int]) -> list[list[int]]:
+    """Every partition nu with nu_i <= lam_i, as a list as long as lam."""
+    out: list[list[int]] = [[]]
+    for bound in lam:
+        out = [nu + [x] for nu in out for x in range(min(bound, nu[-1] if nu else bound) + 1)]
+    return out
+
+
+def abelian_subgroup_counts(cyclic_orders: list[int] | tuple[int, ...]) -> dict[int, int]:
+    """The subgroups of C_n1 x ... x C_nk by order, from a closed form alone.
+
+    For each prime p the p-parts p^lam_i of the n_i give the type lam of
+    the Sylow p-subgroup.  Its subgroups of type nu, a partition inside
+    lam, have order p^|nu| and number
+
+        prod_i p^(nu'_(i+1) (lam'_i - nu'_i)) [lam'_i - nu'_(i+1) choose nu'_i - nu'_(i+1)]_p
+
+    where ' is the conjugate partition (Birkhoff; Butler, "Subgroup
+    lattices and symmetric functions", 1994).  A subgroup is the product
+    of its Sylow subgroups, so the counts of the primes multiply.
+    """
+    exps: dict[int, list[int]] = {}
+    for n in cyclic_orders:
+        p = 2
+        while n > 1:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            if e:
+                exps.setdefault(p, []).append(e)
+            p += 1
+    counts = {1: 1}
+    for p, lam in exps.items():
+        lam = sorted(lam, reverse=True)
+        lam_c = _conjugate(lam, lam[0] + 1)
+        by_order: dict[int, int] = {}
+        for nu in _partitions_inside(lam):
+            nu_c = _conjugate(nu, lam[0] + 1)
+            count = 1
+            for i in range(lam[0]):
+                count *= p ** (nu_c[i + 1] * (lam_c[i] - nu_c[i]))
+                count *= gaussian_binomial(lam_c[i] - nu_c[i + 1], nu_c[i] - nu_c[i + 1], p)
+            by_order[p ** sum(nu)] = by_order.get(p ** sum(nu), 0) + count
+        counts = {a * b: ca * cb for a, ca in counts.items() for b, cb in by_order.items()}
+    return counts
 
 
 def brute_subgroups(g: GroupTable) -> list[tuple[int, ...]]:
@@ -319,7 +381,6 @@ def coset_enumerate_subgroups(g: GroupTable, max_subgroups: int = 100_000) -> Su
         subs=subs,
         subset=[reduce(and_, [within[e] for e in s.elems]) for s in subs],
         orbit=[k for _, _, k in ordered],
-        full_idx=len(subs) - 1,
         solvable=False,
         _index={mask: i for i, (_, mask, _) in enumerate(ordered)},
     )
@@ -342,7 +403,7 @@ def subgroups_by_spec(spec: str) -> list[tuple[int, ...]]:
 def brute_breaking_points(view: PosetView) -> list[int]:
     out = []
     for x in range(view.size):
-        if x == view.bottom_idx or x == view.top_idx:
+        if x == 0 or x == view.top_idx:
             continue
         if view.top_idx is None and not any(view.le(x, y) for y in range(view.size) if y != x):
             continue
@@ -355,7 +416,7 @@ def brute_cover_pairs(view: PosetView) -> list[tuple[int, int]]:
     els = [
         x
         for x in range(view.size)
-        if x != view.bottom_idx and (view.top_idx is None or x != view.top_idx)
+        if x != 0 and (view.top_idx is None or x != view.top_idx)
     ]
     pairs = []
     for m in els:
@@ -394,7 +455,7 @@ def down_breaking_points(view: PosetView, down: list[int]) -> list[int]:
     full = (1 << view.size) - 1
     out = []
     for x in range(view.size):
-        if x == view.bottom_idx or x == view.top_idx:
+        if x == 0 or x == view.top_idx:
             continue
         if view.top_idx is None and view.leq[x] == 1 << x:
             continue
@@ -425,14 +486,16 @@ def down_interval(view: PosetView, down: list[int], a: int, b: int) -> list[int]
 
 def down_two_interval_cover(
     view: PosetView, down: list[int], find_all: bool = False
-) -> IntervalCoverWitness | None:
+) -> IntervalCoverWitness | tuple[int, int] | None:
     """two_interval_cover by walking m in search order and testing down[m] | leq[n].
+
+    Without find_all it stops at the first pair and returns it as (m, n).
 
     When some node is not below m, n must lie below the least such
     node, so only those candidates are tried, still in search order.
     """
     full = (1 << view.size) - 1
-    eligible = [x for x in range(view.size) if x != view.bottom_idx and x != view.top_idx]
+    eligible = [x for x in range(view.size) if x != 0 and x != view.top_idx]
     ms = sorted(eligible, key=lambda i: (-view.orders[i], view.labels[i]))
     ns = sorted(eligible, key=lambda i: (view.orders[i], view.labels[i]))
     rank = {n: r for r, n in enumerate(ns)}
@@ -455,7 +518,7 @@ def down_two_interval_cover(
         for n in cands:
             if dm | view.leq[n] == full:
                 if not find_all:
-                    return IntervalCoverWitness(m, n)
+                    return m, n
                 pairs.append((m, n))
     if pairs:
         return IntervalCoverWitness(pairs[0][0], pairs[0][1], tuple(pairs))
@@ -490,7 +553,7 @@ def ordered_cover_pairs(view: PosetView) -> list[tuple[int, int]]:
     m runs by descending order then label, n by ascending order then
     label, ties by node index; bottom and top are never candidates.
     """
-    els = [x for x in range(view.size) if x != view.bottom_idx and x != view.top_idx]
+    els = [x for x in range(view.size) if x != 0 and x != view.top_idx]
     ms = sorted(els, key=lambda i: (-view.orders[i], view.labels[i], i))
     ns = sorted(els, key=lambda i: (view.orders[i], view.labels[i], i))
     return [

@@ -131,7 +131,7 @@ def _property_suite_holds(spec: str) -> bool:
             for y in range(view.size):
                 if view.le(x, y) and view.leq[y] & ~view.leq[x]:
                     return False  # transitivity
-        if not all(view.le(view.bottom_idx, x) for x in range(view.size)):
+        if not all(view.le(0, x) for x in range(view.size)):
             return False
         if view.top_idx is not None and not all(view.le(x, view.top_idx) for x in range(view.size)):
             return False
@@ -139,7 +139,7 @@ def _property_suite_holds(spec: str) -> bool:
         eligible = [
             x
             for x in range(view.size)
-            if x != view.bottom_idx
+            if x != 0
             and x != view.top_idx
             and not (view.top_idx is None and view.leq[x] == 1 << x)
         ]

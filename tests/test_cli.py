@@ -385,14 +385,25 @@ def test_env_override_of_an_option_the_command_lacks_is_not_read(argv, names, mo
 
 
 def test_env_poset_choice(monkeypatch, tmp_path, capsys):
-    monkeypatch.setenv("LATCOVER_POSET", "L")
     path = tmp_path / "d.dot"
-    assert main(["analyze", "Q8", "--dot", str(path)]) == 0
-    capsys.readouterr()
-    assert 'label="o1"' in path.read_text()
+    for value in ("L", " L "):
+        monkeypatch.setenv("LATCOVER_POSET", value)
+        assert main(["analyze", "Q8", "--dot", str(path)]) == 0
+        capsys.readouterr()
+        assert 'label="o1"' in path.read_text(), value
     monkeypatch.setenv("LATCOVER_POSET", "bogus")
     assert main(["analyze", "Q8"]) == 2
     assert "LATCOVER_POSET" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", list(BAD_ENV))
+@pytest.mark.parametrize("value", ["", "  "])
+def test_env_blank_value_is_unset(name, value, monkeypatch, tmp_path, capsys):
+    monkeypatch.setenv(name, value)
+    path = tmp_path / "d.dot"
+    assert main(["analyze", "C4", "--dot", str(path)]) == 0
+    assert capsys.readouterr().err == ""
+    assert 'label="o1×1"' in path.read_text()  # the default view, Lbar
 
 
 def test_env_all_witnesses(monkeypatch, capsys):

@@ -216,6 +216,9 @@ def test_parse_product_factors():
         "X5",
         "S3x",
         "xC2",
+        "C2x(C3",
+        "ZM(7,3,2))xC2",
+        "perm:3:(1,2)x(C3",
         "perm:2:(1,3)",
         "perm:3:(1,1,2)",
         "perm:0:(1)",

@@ -141,7 +141,7 @@ def _answers(g):
     lat = enumerate_subgroups(g)
     ccp = conjugacy_classes(lat)
     views = {kind: build_poset(lat, ccp, kind) for kind in KINDS}
-    w = two_interval_cover(views["Lbar"], find_all=True)
+    w = two_interval_cover(views["Lbar"])
     return lat, (
         len(lat.subs),
         len(ccp.classes),

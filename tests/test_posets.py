@@ -58,7 +58,6 @@ def test_orders_and_payload():
     view = a.posets["Lbar"]
     assert view.orders == [1, 2, 3, 6]
     assert list(view.payload) == [0, 1, 2, 3]
-    assert view.bottom_idx == 0
 
 
 def test_subgroup_is_cyclic():
@@ -109,17 +108,10 @@ def test_breaking_points_match_oracle(spec, kind):
 
 def test_two_interval_cover_s3():
     view = analyze_spec("S3").posets["Lbar"]
-    w = two_interval_cover(view, find_all=True)
+    w = two_interval_cover(view)
     assert (w.m_idx, w.n_idx) == (2, 1)
     assert w.all_pairs == ((2, 1), (1, 2))
     assert cover_holds(view, w.m_idx, w.n_idx)
-
-
-def test_two_interval_cover_first_only():
-    view = analyze_spec("S3").posets["Lbar"]
-    w = two_interval_cover(view)
-    assert (w.m_idx, w.n_idx) == (2, 1)
-    assert w.all_pairs is None
 
 
 def test_two_interval_cover_none_for_d8():
@@ -130,7 +122,7 @@ def test_sd16_cover_witness():
     # the dihedral maximal subgroup over the central involution
     a = analyze_spec("SD16")
     view = a.posets["Lbar"]
-    w = two_interval_cover(view, find_all=True)
+    w = two_interval_cover(view)
     assert (w.m_idx, w.n_idx) == (6, 2)
     assert view.orders[w.m_idx] == 8
     assert view.orders[w.n_idx] == 2
@@ -140,7 +132,7 @@ def test_sd16_cover_witness():
 @pytest.mark.parametrize("spec", MIDSIZE)
 def test_cover_pairs_match_oracle(spec):
     view = analyze_spec(spec).posets["Lbar"]
-    w = two_interval_cover(view, find_all=True)
+    w = two_interval_cover(view)
     brute = oracles.brute_cover_pairs(view)
     if w is None:
         assert brute == []
@@ -156,13 +148,12 @@ def test_cover_pairs_match_oracle(spec):
 def test_cover_pairs_in_search_order(spec, kind):
     view = analyze_spec(spec).posets[kind]
     want = oracles.ordered_cover_pairs(view)
-    every = two_interval_cover(view, find_all=True)
-    first = two_interval_cover(view)
+    w = two_interval_cover(view)
     if not want:
-        assert every is None and first is None
+        assert w is None
     else:
-        assert every.all_pairs == tuple(want)
-        assert (first.m_idx, first.n_idx) == want[0]
+        assert w.all_pairs == tuple(want)
+        assert (w.m_idx, w.n_idx) == want[0]
 
 
 def test_cover_search_order_prefers_large_m():
@@ -257,8 +248,10 @@ def test_leq_queries_match_down_oracles(spec):
 def test_cover_search_matches_down_oracle(spec, kind):
     view = analyze_spec(spec).posets[kind]
     down = oracles.transpose(view.leq)
-    for find_all in (False, True):
-        assert two_interval_cover(view, find_all) == oracles.down_two_interval_cover(view, down, find_all), find_all
+    w = two_interval_cover(view)
+    assert w == oracles.down_two_interval_cover(view, down, True)
+    first = None if w is None else (w.m_idx, w.n_idx)
+    assert first == oracles.down_two_interval_cover(view, down, False)
 
 
 @pytest.mark.parametrize("spec", LEQ_SPECS)
@@ -274,7 +267,7 @@ def test_interval_matches_down_oracle(spec):
                 row &= row - 1
         if len(pairs) > 300:
             pairs = rng.sample(pairs, 300)
-        pairs.append((view.bottom_idx, view.top_idx if view.top_idx is not None else view.size - 1))
+        pairs.append((0, view.top_idx if view.top_idx is not None else view.size - 1))
         for a, b in pairs:
             assert interval(view, a, b) == oracles.down_interval(view, down, a, b), (kind, a, b)
 

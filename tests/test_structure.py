@@ -229,26 +229,27 @@ def test_profile_s4():
     assert pr.primes == (2, 3)
     assert not pr.is_abelian
     assert not pr.is_cyclic
-    assert not pr.is_p_group
+    assert len(pr.primes) != 1
     assert not pr.is_nilpotent
     assert pr.is_solvable
     assert not pr.is_generalized_quaternion
-    assert pr.exponent_facts == {2: 9, 3: 4}
+    assert {p: len(a.lattice.of_order(p)) for p in pr.primes} == {2: 9, 3: 4}
 
 
 def test_profile_c12():
-    pr = analyze_spec("C12").profile
+    a = analyze_spec("C12")
+    pr = a.profile
     assert pr.primes == (2, 3)
     assert pr.is_abelian and pr.is_cyclic and pr.is_nilpotent and pr.is_solvable
-    assert not pr.is_p_group
-    assert pr.exponent_facts == {2: 1, 3: 1}
+    assert {p: len(a.lattice.of_order(p)) for p in pr.primes} == {2: 1, 3: 1}
 
 
 def test_profile_q16():
-    pr = analyze_spec("Q16").profile
+    a = analyze_spec("Q16")
+    pr = a.profile
     assert pr.primes == (2,)
-    assert pr.is_p_group and pr.is_generalized_quaternion
-    assert pr.exponent_facts == {2: 1}
+    assert pr.is_generalized_quaternion
+    assert len(a.lattice.of_order(2)) == 1
 
 
 def _coset_action(g, subs):

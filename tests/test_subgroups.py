@@ -1,5 +1,6 @@
 """Subgroup closure, enumeration, and conjugacy classes."""
 
+import math
 import re
 
 import numpy as np
@@ -44,17 +45,9 @@ def _divisors(n):
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
-def _gaussian_binomial(k, d, q=2):
-    """Number of d-dimensional subspaces of a k-dimensional space over GF(q)."""
-    num = den = 1
-    for i in range(d):
-        num *= q ** (k - i) - 1
-        den *= q ** (i + 1) - 1
-    return num // den
-
-
 def _elementary_abelian_count(k):
-    return sum(_gaussian_binomial(k, d) for d in range(k + 1))
+    """One subgroup per subspace of GF(2)^k."""
+    return sum(oracles.gaussian_binomial(k, d, 2) for d in range(k + 1))
 
 
 # C<n>: one subgroup per divisor; dihedral of order 2m: tau(m) + sigma(m);
@@ -73,6 +66,38 @@ def test_elementary_abelian_formula():
 @pytest.mark.parametrize("spec,count", sorted(CLOSED_FORM.items()))
 def test_subgroup_counts_closed_form(spec, count):
     assert len(enumerate_subgroups(build_group(spec)).subs) == count
+
+
+def _cyclic_products(limit, least=2, prefix=()):
+    """Every product of two or more cyclic factors, each of order at least 2, of order at most limit."""
+    out = []
+    for n in range(least, limit // math.prod(prefix) + 1):
+        factors = (*prefix, n)
+        if len(factors) >= 2:
+            out.append(factors)
+        out += _cyclic_products(limit, n, factors)
+    return out
+
+
+# with three past order 64, where the Sylow subgroups have larger types
+ABELIAN_PRODUCTS = _cyclic_products(64) + [(9, 9, 3), (5, 5, 5), (3, 3, 3, 3)]
+
+
+def test_abelian_closed_form_is_self_dual():
+    # a finite abelian group has as many subgroups of order k as of index k
+    assert len(_cyclic_products(64)) == 134
+    for factors in ABELIAN_PRODUCTS + [(2, 2, 2, 2, 4, 4)]:
+        want = oracles.abelian_subgroup_counts(factors)
+        order = math.prod(factors)
+        assert all(want[order // k] == count for k, count in want.items()), factors
+
+
+@pytest.mark.parametrize("factors", ABELIAN_PRODUCTS, ids=lambda f: "x".join(f"C{n}" for n in f))
+def test_abelian_subgroup_counts_match_closed_form(factors):
+    want = oracles.abelian_subgroup_counts(factors)
+    lat = enumerate_subgroups(build_group("x".join(f"C{n}" for n in factors)))
+    assert {k: len(lat.of_order(k)) for k in want} == want
+    assert len(lat.subs) == sum(want.values())
 
 
 def test_closure_examples():
@@ -139,7 +164,6 @@ def test_normalizer_values():
 def test_lattice_shape():
     lat = analyze_spec("S3").lattice
     assert lat.subs[0].elems == (0,)
-    assert lat.full_idx == len(lat.subs) - 1
     assert lat.subs[-1].order == 6
     keys = [(s.order, s.elems) for s in lat.subs]
     assert keys == sorted(keys)
@@ -389,5 +413,5 @@ def test_lattice_properties_on_random_specs(spec):
         view = build_poset(lat, ccp, kind)
         if view.size <= 64:
             want = oracles.ordered_cover_pairs(view)
-            w = two_interval_cover(view, find_all=True)
+            w = two_interval_cover(view)
             assert (w.all_pairs if w else None) == (tuple(want) or None), kind

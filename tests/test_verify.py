@@ -108,6 +108,10 @@ def test_run_suites_expands_and_dedupes():
     assert len(run_suites(("theorem9", "theorem9"))) == 1
 
 
+def test_run_suites_keeps_canonical_order():
+    assert [sr.name for sr in run_suites(("theorem9", "theorem1"))] == ["theorem1", "theorem9"]
+
+
 def test_run_suites_rejects_unknown():
     with pytest.raises(ValueError):
         run_suites(("theorem2",))
