@@ -314,7 +314,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pa.add_argument("spec", help="group spec, e.g. Q16, D8, M3^3, ZM(7,3,2), C2xC2xS3")
     pa.add_argument("--json", metavar="PATH", help="write the full report as JSON")
     pa.add_argument("--dot", metavar="PATH", help="write a Hasse diagram in DOT form")
-    pa.add_argument("--poset", choices=KINDS, help="which view --dot draws")
+    pa.add_argument("--poset", type=_poset, metavar=f"{{{','.join(KINDS)}}}", help="which view --dot draws")
     pa.add_argument(
         "--all-witnesses",
         action="store_true",

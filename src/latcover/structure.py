@@ -1,5 +1,9 @@
 """Structural facts about a group read off its lattice and generators.
 
+A function takes the group table when the table alone decides its
+answer, and the subgroup lattice otherwise; a lattice carries its table
+as lat.group, so no function takes both.
+
 The profile flags do no pass over the Cayley table: abelian means the
 generators commute pairwise, nilpotent that every Sylow subgroup is the
 only subgroup of its order (Sylow subgroups are conjugate, so one is
@@ -13,13 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import PrimeNotInOrder
-from .groups import GroupTable, primes_of
+from .groups import GroupTable, _is_pow2, _is_prime, primes_of
 from .subgroups import Subgroup, SubgroupLattice, closure
 
 
 def _check_prime(g: GroupTable, p: int) -> None:
-    # p must divide |G| before it is factored, so factoring it takes at most sqrt(|G|) steps
-    if p < 2 or g.order % p or primes_of(p) != [p]:
+    # p must divide |G| before _is_prime sees it, as that test is exact only below a bound
+    if p < 2 or g.order % p or not _is_prime(p):
         raise PrimeNotInOrder(f"{p} is not a prime divisor of group order {g.order}")
 
 
@@ -51,15 +55,15 @@ def _p_valuation(n: int, p: int) -> int:
     return v
 
 
-def sylow_subgroups(g: GroupTable, lat: SubgroupLattice, p: int) -> list[int]:
+def sylow_subgroups(lat: SubgroupLattice, p: int) -> list[int]:
     """Indices of the subgroups of maximal p-power order."""
-    _check_prime(g, p)
-    return list(lat.of_order(p ** _p_valuation(g.order, p)))
+    _check_prime(lat.group, p)
+    return list(lat.of_order(p ** _p_valuation(lat.group.order, p)))
 
 
-def is_nilpotent(g: GroupTable, lat: SubgroupLattice) -> bool:
+def is_nilpotent(lat: SubgroupLattice) -> bool:
     """Every Sylow subgroup is normal, that is, the only one of its order."""
-    return all(len(sylow_subgroups(g, lat, p)) == 1 for p in primes_of(g))
+    return all(len(sylow_subgroups(lat, p)) == 1 for p in primes_of(lat.group))
 
 
 def omega1(g: GroupTable, p: int) -> Subgroup:
@@ -78,9 +82,9 @@ def maximal_subgroups(lat: SubgroupLattice) -> list[int]:
     ]
 
 
-def frattini(g: GroupTable, lat: SubgroupLattice) -> Subgroup:
+def frattini(lat: SubgroupLattice) -> Subgroup:
     """Intersection of all maximal subgroups; trivial for the trivial group."""
-    mask = (1 << g.order) - 1
+    mask = (1 << lat.group.order) - 1
     for i in maximal_subgroups(lat):
         mask &= lat.subs[i].mask
     elems = []
@@ -91,12 +95,10 @@ def frattini(g: GroupTable, lat: SubgroupLattice) -> Subgroup:
     return lat.subs[lat.index_of(tuple(elems))]
 
 
-def is_generalized_quaternion(g: GroupTable, lat: SubgroupLattice) -> bool:
+def is_generalized_quaternion(lat: SubgroupLattice) -> bool:
     """Noncyclic 2-group of order at least 8 with a single order-2 subgroup."""
-    n = g.order
-    if n < 8 or n & (n - 1):
-        return False
-    if is_cyclic(g):
+    g = lat.group
+    if g.order < 8 or not _is_pow2(g.order) or is_cyclic(g):
         return False
     return len(lat.of_order(2)) == 1
 
@@ -108,16 +110,17 @@ def is_cyclic_pgroup_order_ge_p2(g: GroupTable) -> bool:
     return is_cyclic(g)
 
 
-def order_p_subgroups_conjugate(g: GroupTable, lat: SubgroupLattice, p: int) -> bool:
+def order_p_subgroups_conjugate(lat: SubgroupLattice, p: int) -> bool:
     """All subgroups of order p form one conjugacy class."""
-    _check_prime(g, p)
+    _check_prime(lat.group, p)
     return len({lat.orbit[i] for i in lat.of_order(p)}) == 1
 
 
-def p_complement(g: GroupTable, lat: SubgroupLattice, p: int) -> Subgroup | None:
+def p_complement(lat: SubgroupLattice, p: int) -> Subgroup | None:
     """First subgroup of order |G| / p^v, or None when no such subgroup exists."""
-    _check_prime(g, p)
-    hits = lat.of_order(g.order // p ** _p_valuation(g.order, p))
+    n = lat.group.order
+    _check_prime(lat.group, p)
+    hits = lat.of_order(n // p ** _p_valuation(n, p))
     return lat.subs[hits[0]] if hits else None
 
 
@@ -131,12 +134,13 @@ class StructureProfile:
     is_generalized_quaternion: bool
 
 
-def build_profile(g: GroupTable, lat: SubgroupLattice) -> StructureProfile:
+def build_profile(lat: SubgroupLattice) -> StructureProfile:
+    g = lat.group
     return StructureProfile(
         primes=tuple(primes_of(g)),
         is_abelian=is_abelian(g),
         is_cyclic=is_cyclic(g),
-        is_nilpotent=is_nilpotent(g, lat),
+        is_nilpotent=is_nilpotent(lat),
         is_solvable=lat.solvable,
-        is_generalized_quaternion=is_generalized_quaternion(g, lat),
+        is_generalized_quaternion=is_generalized_quaternion(lat),
     )

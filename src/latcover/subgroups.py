@@ -385,9 +385,6 @@ class ConjClassPoset:
     classes: list[tuple[int, ...]]
     rep: list[int]
 
-    def __len__(self) -> int:
-        return len(self.classes)
-
 
 def conjugacy_classes(lat: SubgroupLattice) -> ConjClassPoset:
     members: list[list[int]] = []

@@ -122,7 +122,7 @@ def _analyze(spec: str, max_order: int, max_subgroups: int) -> Analysis:
     lat = enumerate_subgroups(g, max_subgroups)
     ccp = conjugacy_classes(lat)
     posets = {kind: build_poset(lat, ccp, kind) for kind in KINDS}
-    return Analysis(g, lat, ccp, posets, build_profile(g, lat))
+    return Analysis(g, lat, ccp, posets, build_profile(lat))
 
 
 @lru_cache(maxsize=128)
@@ -205,9 +205,7 @@ def verify_theorem1(catalog: tuple[str, ...] | list[str] = CATALOG) -> SuiteResu
         a = analyze_spec(spec)
         view = a.posets["Lbar"]
         bps = breaking_points(view)
-        recognized = is_cyclic_pgroup_order_ge_p2(a.group) or is_generalized_quaternion(
-            a.group, a.lattice
-        )
+        recognized = is_cyclic_pgroup_order_ge_p2(a.group) or is_generalized_quaternion(a.lattice)
         has = bool(bps)
         if spec in THEOREM1_BREAKING:
             expected, ok = True, has and recognized
@@ -275,7 +273,7 @@ def verify_prop4_prop5() -> SuiteResult:
         named = (_class_node(a, m_named), _class_node(a, n_named))
         cases.append(_case(spec, "named-pair-among-witnesses", True, named in w.all_pairs))
         om = omega1(g, p)
-        ph = frattini(g, lat)
+        ph = frattini(lat)
         cases.append(_case(spec, "first-witness-m-contains-omega1", True, view.le(_class_node(a, om), w.m_idx)))
         cases.append(_case(spec, "first-witness-n-inside-frattini", True, view.le(w.n_idx, _class_node(a, ph))))
         cases.append(_case(spec, "derived-subgroup-order", p, derived_subgroup(g).order))
@@ -295,9 +293,9 @@ def _qualifying_primes(a: Analysis) -> list[tuple[int, Subgroup, Subgroup]]:
     """
     out = []
     for p in a.profile.primes:
-        if not order_p_subgroups_conjugate(a.group, a.lattice, p):
+        if not order_p_subgroups_conjugate(a.lattice, p):
             continue
-        comp = p_complement(a.group, a.lattice, p)
+        comp = p_complement(a.lattice, p)
         if comp is None:
             continue
         out.append((p, comp, a.lattice.subs[a.lattice.of_order(p)[0]]))
@@ -322,7 +320,7 @@ def verify_theorem6_and_corollaries() -> SuiteResult:
         allcyc = all(
             subgroup_is_cyclic(a.group, a.lattice.subs[i])
             for p in a.profile.primes
-            for i in sylow_subgroups(a.group, a.lattice, p)
+            for i in sylow_subgroups(a.lattice, p)
         )
         cases.append(_case(spec, "all-sylow-cyclic", True, allcyc))
     # the four-point alternating group lands in the class with the classical
@@ -334,26 +332,16 @@ def verify_theorem6_and_corollaries() -> SuiteResult:
     cases.append(_cover_case(a4, "A4", "klein-over-three-cycle-covers", v4, c3))
     # solvability matters: the smallest nonsolvable group stays out
     a5 = analyze_spec("A5")
-    cases.append(
-        _case("A5", "order-3-single-class", True, order_p_subgroups_conjugate(a5.group, a5.lattice, 3))
-    )
-    cases.append(
-        _case("A5", "order-5-single-class", True, order_p_subgroups_conjugate(a5.group, a5.lattice, 5))
-    )
+    cases.append(_case("A5", "order-3-single-class", True, order_p_subgroups_conjugate(a5.lattice, 3)))
+    cases.append(_case("A5", "order-5-single-class", True, order_p_subgroups_conjugate(a5.lattice, 5)))
     cases.append(_case("A5", "solvable", False, a5.profile.is_solvable))
     cases.append(_case("A5", "in-class-c", False, in_class_c(a5)))
     # membership can hold with no qualifying prime at all
     big = analyze_spec("C2xC2xM3^3")
     cases.append(_case("C2xC2xM3^3", "in-class-c", True, in_class_c(big)))
     for p in (2, 3):
-        cases.append(
-            _case(
-                "C2xC2xM3^3",
-                f"order-{p}-classes-not-single",
-                False,
-                order_p_subgroups_conjugate(big.group, big.lattice, p),
-            )
-        )
+        conj = order_p_subgroups_conjugate(big.lattice, p)
+        cases.append(_case("C2xC2xM3^3", f"order-{p}-classes-not-single", False, conj))
     cases.append(_case("C2xC2xM3^3", "qualifying-primes", [], [p for p, _, _ in _qualifying_primes(big)]))
     for order in (6, 10, 12, 20, 24, 8, 16, 32):
         spec = f"D{order}"
@@ -430,10 +418,6 @@ def _family(name: str) -> type[GroupSpec]:
         return FAMILIES[name]
     except KeyError:
         raise ValueError(f"unknown family {name!r}; choose from {', '.join(FAMILY_NAMES)}") from None
-
-
-def _family_specs(family: str, max_order: int) -> list[str]:
-    return [spec.canonical() for spec in _family(family).members(max_order)]
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ solvable flags from sweeps over the table or from Hall p-complements in
 the lattice, element orders, conjugates and normalizers from their
 definitions, and Cayley tables cell by cell in pure Python.  Results are
 cached per spec string because several test modules share them.
+family_specs lists the specs of a family for the tests that sweep one.
 """
 
 from __future__ import annotations
@@ -25,9 +26,14 @@ from latcover.posets import IntervalCoverWitness, PosetView
 from latcover.structure import p_complement, sylow_subgroups
 from latcover.errors import SubgroupCapExceeded
 from latcover.subgroups import Subgroup, SubgroupLattice, _zuppos, closure
-from latcover.verify import analyze_spec
+from latcover.verify import _family, analyze_spec
 
 _SUBGROUP_CACHE: dict[str, list[tuple[int, ...]]] = {}
+
+
+def family_specs(family: str, max_order: int) -> list[str]:
+    """The canonical specs of a family's members up to max_order, as scan_class_c lists them."""
+    return [spec.canonical() for spec in _family(family).members(max_order)]
 
 
 def _divisors(n: int) -> list[int]:
@@ -259,11 +265,11 @@ def is_normal(g: GroupTable, sub: Subgroup) -> bool:
     return normalizer(g, sub).order == g.order
 
 
-def normal_sylow_is_nilpotent(g: GroupTable, lat: SubgroupLattice) -> bool:
+def normal_sylow_is_nilpotent(lat: SubgroupLattice) -> bool:
     """A Sylow p-subgroup is normal, checked by conjugating it by every element, for each p."""
-    for p in primes_of(g):
-        first = sylow_subgroups(g, lat, p)[0]
-        if not is_normal(g, lat.subs[first]):
+    for p in primes_of(lat.group):
+        first = sylow_subgroups(lat, p)[0]
+        if not is_normal(lat.group, lat.subs[first]):
             return False
     return True
 
@@ -287,9 +293,9 @@ def derived_series_is_solvable(g: GroupTable) -> bool:
         cur = nxt
 
 
-def hall_complements_is_solvable(g: GroupTable, lat: SubgroupLattice) -> bool:
+def hall_complements_is_solvable(lat: SubgroupLattice) -> bool:
     """A p-complement exists for every prime p (P. Hall, 1928 and 1937)."""
-    return all(p_complement(g, lat, p) is not None for p in primes_of(g))
+    return all(p_complement(lat, p) is not None for p in primes_of(lat.group))
 
 
 def _coset_extend(g: GroupTable, elems: list[int], mask: int, gens: list[int], a: int) -> tuple[list[int], int]:
@@ -384,7 +390,7 @@ def coset_enumerate_subgroups(g: GroupTable, max_subgroups: int = 100_000) -> Su
         solvable=False,
         _index={mask: i for i, (_, mask, _) in enumerate(ordered)},
     )
-    lat.solvable = hall_complements_is_solvable(g, lat)
+    lat.solvable = hall_complements_is_solvable(lat)
     return lat
 
 

@@ -65,7 +65,7 @@ def test_criterion_3_modular_facts():
         sum(1 for s in a.lattice.subs if s.order == 3) == 4
         and derived_subgroup(a.group).order == 3
         and omega1(a.group, 3).order == 9
-        and frattini(a.group, a.lattice).elems == closure(a.group, (9,)).elems
+        and frattini(a.lattice).elems == closure(a.group, (9,)).elems
     )
     _verdict(3, "modular maximal-cyclic groups carry the named cover and facts", suite.passed and facts)
 
@@ -76,8 +76,8 @@ def test_criterion_4_solvable_route_and_counterexamples():
     big = analyze_spec("C2xC2xM3^3")
     extras = (
         not in_class_c(a5)
-        and not order_p_subgroups_conjugate(big.group, big.lattice, 2)
-        and not order_p_subgroups_conjugate(big.group, big.lattice, 3)
+        and not order_p_subgroups_conjugate(big.lattice, 2)
+        and not order_p_subgroups_conjugate(big.lattice, 3)
         and in_class_c(big)
         and all(in_class_c(analyze_spec(f"D{o}")) for o in (6, 10, 12, 20, 24))
         and all(not in_class_c(analyze_spec(f"D{o}")) for o in (8, 16, 32))

@@ -396,6 +396,22 @@ def test_env_poset_choice(monkeypatch, tmp_path, capsys):
     assert "LATCOVER_POSET" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("from_env", [False, True])
+def test_bad_poset_is_one_message_from_option_or_env(from_env, monkeypatch, capsys):
+    # --poset and LATCOVER_POSET share one parser, so both reject a view name alike
+    if from_env:
+        monkeypatch.setenv("LATCOVER_POSET", "bogus")
+    assert main(["analyze", "Q8", *([] if from_env else ["--poset", "bogus"])]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].endswith("must be one of L, Lbar, C, Cbar, got 'bogus'")
+    assert ("error: LATCOVER_POSET: " in err) == from_env
+
+
+def test_poset_help_lists_the_views(capsys):
+    assert main(["analyze", "--help"]) == 0
+    assert "--poset {L,Lbar,C,Cbar}" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("name", list(BAD_ENV))
 @pytest.mark.parametrize("value", ["", "  "])
 def test_env_blank_value_is_unset(name, value, monkeypatch, tmp_path, capsys):

@@ -18,8 +18,8 @@ from latcover.groups import (
     validate_group,
 )
 from latcover.subgroups import closure
-from latcover.verify import CATALOG, FAMILY_NAMES, _family_specs
-from oracles import element_order
+from latcover.verify import CATALOG, FAMILY_NAMES
+from oracles import element_order, family_specs
 
 
 def test_cyclic_table():
@@ -352,7 +352,7 @@ def test_default_max_order():
 WREATH_2_2_2 = "perm:8:(1,2);(1,3)(2,4);(1,5)(2,6)(3,7)(4,8)"
 WREATH_3_3 = "perm:9:(1,2,3);(1,4,7)(2,5,8)(3,6,9)"
 BUILDER_SPECS = [
-    *(spec for family in FAMILY_NAMES for spec in _family_specs(family, 128)),
+    *(spec for family in FAMILY_NAMES for spec in family_specs(family, 128)),
     "C512",
     "C500",
     "M2^8",

@@ -24,7 +24,8 @@ from latcover.groups import build_group, parse_spec
 from latcover.posets import KINDS, breaking_points, build_poset, hasse_edges, two_interval_cover
 from latcover.structure import build_profile
 from latcover.subgroups import conjugacy_classes, enumerate_subgroups
-from latcover.verify import CATALOG, FAMILY_NAMES, _family_specs, analyze_spec
+from latcover.verify import CATALOG, FAMILY_NAMES, analyze_spec
+from oracles import family_specs
 
 SMALL = (
     "C1",
@@ -86,7 +87,7 @@ def _assert_same_lattice(spec):
 
 @pytest.mark.parametrize("family", FAMILY_NAMES)
 def test_enumeration_matches_coset_oracle_on_scan_families(family):
-    for spec in _family_specs(family, 128):
+    for spec in family_specs(family, 128):
         _assert_same_lattice(spec)
 
 
@@ -108,7 +109,7 @@ def test_enumeration_matches_coset_oracle_on_nonsolvable_groups(spec):
     "specs",
     [
         pytest.param(CATALOG, id="catalog"),
-        pytest.param([spec for family in FAMILY_NAMES for spec in _family_specs(family, 128)], id="families"),
+        pytest.param([spec for family in FAMILY_NAMES for spec in family_specs(family, 128)], id="families"),
         pytest.param(MIXED, id="mixed"),
     ],
 )
@@ -117,7 +118,7 @@ def test_solvable_flag_matches_hall_criterion(specs):
     for spec in specs:
         g = build_group(spec)
         lat = enumerate_subgroups(g)
-        if lat.solvable != oracles.hall_complements_is_solvable(g, lat):
+        if lat.solvable != oracles.hall_complements_is_solvable(lat):
             mismatches.append(spec)
     assert mismatches == []
 
@@ -145,7 +146,7 @@ def _answers(g):
     return lat, (
         len(lat.subs),
         len(ccp.classes),
-        build_profile(g, lat),
+        build_profile(lat),
         {kind: (v.size, [v.labels[x] for x in breaking_points(v)], len(hasse_edges(v))) for kind, v in views.items()},
         len(w.all_pairs) if w else 0,
     )

@@ -27,8 +27,8 @@ from latcover.structure import (
     sylow_subgroups,
 )
 from latcover.subgroups import Subgroup, closure, conjugacy_classes, enumerate_subgroups
-from latcover.verify import CATALOG, FAMILY_NAMES, _family_specs, analyze_spec
-from oracles import is_normal
+from latcover.verify import CATALOG, FAMILY_NAMES, analyze_spec
+from oracles import family_specs, is_normal
 
 # PSL(2,7) on the projective line over F7: x+1 and -1/x; of its primes
 # only 3 has no complement, so a Hall check that skips 3 calls it solvable
@@ -37,7 +37,7 @@ PROFILE_SPECS = list(
     dict.fromkeys(
         [
             *CATALOG,
-            *(spec for fam in FAMILY_NAMES for spec in _family_specs(fam, 64)),
+            *(spec for fam in FAMILY_NAMES for spec in family_specs(fam, 64)),
             "S5",
             "A5xC2",
             "A4xA4",
@@ -90,24 +90,24 @@ def test_is_normal():
 
 def test_sylow_subgroups():
     a = analyze_spec("S4")
-    twos = sylow_subgroups(a.group, a.lattice, 2)
+    twos = sylow_subgroups(a.lattice, 2)
     assert [a.lattice.subs[i].order for i in twos] == [8, 8, 8]
-    assert len(sylow_subgroups(a.group, a.lattice, 3)) == 4
+    assert len(sylow_subgroups(a.lattice, 3)) == 4
     with pytest.raises(PrimeNotInOrder):
-        sylow_subgroups(a.group, a.lattice, 5)
+        sylow_subgroups(a.lattice, 5)
     with pytest.raises(PrimeNotInOrder):
-        sylow_subgroups(a.group, a.lattice, 4)
+        sylow_subgroups(a.lattice, 4)
 
 
 @pytest.mark.parametrize("p", [2**61 - 1, 0, 1, -2, 4])
 def test_prime_check_rejects_at_once(p):
-    # p is tested against |G| before it is factored, so a huge prime costs nothing
+    # p is tested against |G| before its primality, so a huge prime costs nothing
     a = analyze_spec("S4")
     calls = (
-        lambda: sylow_subgroups(a.group, a.lattice, p),
+        lambda: sylow_subgroups(a.lattice, p),
         lambda: omega1(a.group, p),
-        lambda: p_complement(a.group, a.lattice, p),
-        lambda: order_p_subgroups_conjugate(a.group, a.lattice, p),
+        lambda: p_complement(a.lattice, p),
+        lambda: order_p_subgroups_conjugate(a.lattice, p),
     )
     for call in calls:
         start = time.perf_counter()
@@ -119,7 +119,7 @@ def test_prime_check_rejects_at_once(p):
 def test_nilpotency():
     for spec, want in (("Q8", True), ("C12", True), ("D8", True), ("S3", False), ("D12", False), ("M3^3", True)):
         a = analyze_spec(spec)
-        assert is_nilpotent(a.group, a.lattice) == want, spec
+        assert is_nilpotent(a.lattice) == want, spec
 
 
 def test_omega1():
@@ -142,15 +142,15 @@ def test_maximal_subgroups():
 
 def test_frattini():
     c8 = analyze_spec("C8")
-    assert frattini(c8.group, c8.lattice).order == 4
+    assert frattini(c8.lattice).order == 4
     q8 = analyze_spec("Q8")
-    assert frattini(q8.group, q8.lattice).elems == (0, 4)
+    assert frattini(q8.lattice).elems == (0, 4)
     s3 = analyze_spec("S3")
-    assert frattini(s3.group, s3.lattice).order == 1
+    assert frattini(s3.lattice).order == 1
     m33 = analyze_spec("M3^3")
-    assert frattini(m33.group, m33.lattice).order == 3
+    assert frattini(m33.lattice).order == 3
     c1 = analyze_spec("C1")
-    assert frattini(c1.group, c1.lattice).order == 1
+    assert frattini(c1.lattice).order == 1
 
 
 def test_generalized_quaternion_recognizer():
@@ -165,7 +165,7 @@ def test_generalized_quaternion_recognizer():
         ("Dic3", False),
     ):
         a = analyze_spec(spec)
-        assert is_generalized_quaternion(a.group, a.lattice) == want, spec
+        assert is_generalized_quaternion(a.lattice) == want, spec
 
 
 def test_cyclic_pgroup_recognizer():
@@ -187,30 +187,30 @@ def test_cyclic_pgroup_recognizer():
 def test_order_p_conjugacy():
     a5 = analyze_spec("A5")
     for p in (2, 3, 5):
-        assert order_p_subgroups_conjugate(a5.group, a5.lattice, p)
+        assert order_p_subgroups_conjugate(a5.lattice, p)
     v4 = analyze_spec("C2xC2")
-    assert not order_p_subgroups_conjugate(v4.group, v4.lattice, 2)
+    assert not order_p_subgroups_conjugate(v4.lattice, 2)
     s4 = analyze_spec("S4")
-    assert not order_p_subgroups_conjugate(s4.group, s4.lattice, 2)
-    assert order_p_subgroups_conjugate(s4.group, s4.lattice, 3)
+    assert not order_p_subgroups_conjugate(s4.lattice, 2)
+    assert order_p_subgroups_conjugate(s4.lattice, 3)
     with pytest.raises(PrimeNotInOrder):
-        order_p_subgroups_conjugate(a5.group, a5.lattice, 7)
+        order_p_subgroups_conjugate(a5.lattice, 7)
 
 
 def test_p_complement():
     zm = analyze_spec("ZM(7,3,2)")
-    assert p_complement(zm.group, zm.lattice, 7).order == 3
+    assert p_complement(zm.lattice, 7).order == 3
     a5 = analyze_spec("A5")
-    assert p_complement(a5.group, a5.lattice, 5).order == 12
-    assert p_complement(a5.group, a5.lattice, 3) is None
-    assert p_complement(a5.group, a5.lattice, 2) is None
+    assert p_complement(a5.lattice, 5).order == 12
+    assert p_complement(a5.lattice, 3) is None
+    assert p_complement(a5.lattice, 2) is None
     s4 = analyze_spec("S4")
-    assert p_complement(s4.group, s4.lattice, 3).order == 8
-    assert p_complement(s4.group, s4.lattice, 2).order == 3
+    assert p_complement(s4.lattice, 3).order == 8
+    assert p_complement(s4.lattice, 2).order == 3
     c12 = analyze_spec("C12")
-    assert p_complement(c12.group, c12.lattice, 2).order == 3
+    assert p_complement(c12.lattice, 2).order == 3
     with pytest.raises(PrimeNotInOrder):
-        p_complement(c12.group, c12.lattice, 5)
+        p_complement(c12.lattice, 5)
 
 
 def test_solvable_groups_have_all_p_complements():
@@ -220,12 +220,12 @@ def test_solvable_groups_have_all_p_complements():
         if a.group.order > 24 or not a.profile.is_solvable:
             continue
         for p in a.profile.primes:
-            assert p_complement(a.group, a.lattice, p) is not None, (spec, p)
+            assert p_complement(a.lattice, p) is not None, (spec, p)
 
 
 def test_profile_s4():
     a = analyze_spec("S4")
-    pr = build_profile(a.group, a.lattice)
+    pr = build_profile(a.lattice)
     assert pr.primes == (2, 3)
     assert not pr.is_abelian
     assert not pr.is_cyclic
@@ -301,7 +301,7 @@ def _sympy_sylow(sp, p):
     return len(first), len(orbit)
 
 
-SYLOW_SPECS = [*(spec for fam in FAMILY_NAMES for spec in _family_specs(fam, 64)), PSL27]
+SYLOW_SPECS = [*(spec for fam in FAMILY_NAMES for spec in family_specs(fam, 64)), PSL27]
 
 
 def test_sylow_subgroups_match_sympy():
@@ -312,7 +312,7 @@ def test_sylow_subgroups_match_sympy():
         sp = _small_faithful_action(g, lat, conjugacy_classes(lat))
         assert sp.order() == g.order, spec
         for p in primes_of(g):
-            found = sylow_subgroups(g, lat, p)
+            found = sylow_subgroups(lat, p)
             got = (lat.subs[found[0]].order, len(found))
             if {lat.subs[i].order for i in found} != {got[0]} or got != _sympy_sylow(sp, p):
                 mismatches.append((spec, p, got, _sympy_sylow(sp, p)))
@@ -324,11 +324,11 @@ def test_profile_flags_match_oracles_and_sympy():
     for spec in PROFILE_SPECS:
         g = build_group(spec)
         lat = enumerate_subgroups(g)
-        pr = build_profile(g, lat)
+        pr = build_profile(lat)
         got = (pr.is_abelian, pr.is_nilpotent, pr.is_solvable, derived_subgroup(g).order)
         oracle = (
             oracles.sweep_is_abelian(g),
-            oracles.normal_sylow_is_nilpotent(g, lat),
+            oracles.normal_sylow_is_nilpotent(lat),
             oracles.derived_series_is_solvable(g),
         )
         sp = _regular_permutation_group(g)

