@@ -1,7 +1,8 @@
 """Finite groups as validated Cayley tables.
 
 Each group family is defined once, as a GroupSpec subclass: it checks
-its parameters when constructed, names its group, gives its order and
+its parameters when constructed, names its group in the one notation
+that canonical() writes and parse_spec reads, gives its order and
 drafts its table, and a scan family (FAMILIES) lists its members.
 Every family is realized through a fixed normal-form element encoding,
 so tables, subgroup listings, and downstream reports come out
@@ -15,8 +16,9 @@ import itertools
 import math
 import re
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property, reduce
+from typing import ClassVar
 
 import numpy as np
 
@@ -88,7 +90,7 @@ class GroupTable:
 
     @cached_property
     def generators(self) -> list[int] | None:
-        """At most order.bit_length() elements generating the group.
+        """At most order.bit_length() elements generating the group, the ones Light's test reads.
 
         None means more were needed, so the table is not a group; a table
         that is not a group may still get a list.
@@ -103,13 +105,12 @@ class ValidationResult:
     witness: tuple[int, ...] | None = None
 
 
-def _right_generators(mul: list[list[int]] | np.ndarray) -> list[int] | None:
+def _right_generators(mul: list[list[int]]) -> list[int] | None:
     """Greedy generators, in index order, whose right-multiplication closure from 0 is everything.
 
-    mul is the table as rows or as an index array; only the column of
-    each generator is read, as a list.  In a group each generator at
-    least doubles the closure, so more than n.bit_length() of them means
-    the table is not a group: None.
+    Only the column of each generator is read.  In a group each generator
+    at least doubles the closure, so more than n.bit_length() of them
+    means the table is not a group: None.
     """
     n = len(mul)
     reached = [False] * n
@@ -125,7 +126,7 @@ def _right_generators(mul: list[list[int]] | np.ndarray) -> list[int] | None:
         if len(gens) == n.bit_length():
             return None
         gens.append(a)
-        col = mul[:, a].tolist() if isinstance(mul, np.ndarray) else [row[a] for row in mul]
+        col = [row[a] for row in mul]
         cols.append(col)
         # elements already reached are closed under the older generators
         done = len(elems)
@@ -164,26 +165,25 @@ def validate_group(g: GroupTable) -> ValidationResult:
     n = g.order
     if n < 1 or len(g.mul) != n or any(len(row) != n for row in g.mul):
         return ValidationResult(False, "shape", (n,))
-    return _validate_table(np.asarray(g.mul, dtype=np.int64), g.inv, g.labels)[0]
+    return _validate_table(np.asarray(g.mul, dtype=np.int64), g)
 
 
-def _validate_table(
-    m: np.ndarray, inv: Sequence[int], labels: Sequence[str]
-) -> tuple[ValidationResult, list[int] | None]:
-    """validate_group on the table as an n x n index array, and the generators Light's test used.
+def _validate_table(m: np.ndarray, g: GroupTable) -> ValidationResult:
+    """validate_group on g, whose rows m holds as an n x n index array.
 
-    A table with entries in range, identity 0, the given two-sided
-    inverses and Light's test passing is associative, so it is a group,
-    and a group's table is a latin square.  That is tried first, with no
-    sort.  Only a table that fails it goes through the checks in their
-    reporting order, to find its first violation.
+    A table with entries in range, identity 0, the two-sided inverses
+    g.inv and Light's test passing for g.generators is associative, so it
+    is a group, and a group's table is a latin square.  That is tried
+    first, with no sort.  Only a table that fails it goes through the
+    checks in their reporting order, to find its first violation.
     """
     n = len(m)
-    if len(inv) != n or len(labels) != n:
-        return ValidationResult(False, "shape", (n,)), None
+    inv = g.inv
+    if len(inv) != n or len(g.labels) != n:
+        return ValidationResult(False, "shape", (n,))
     if m.min() < 0 or m.max() >= n:
         bad = np.argwhere((m < 0) | (m >= n))[0]
-        return ValidationResult(False, "latin", (int(bad[0]), int(bad[1]))), None
+        return ValidationResult(False, "latin", (int(bad[0]), int(bad[1])))
     # the narrowest type that holds every index: the gathers below move a quarter of the bytes or less
     m = m.astype(np.min_scalar_type(n - 1), copy=False)
     ar = np.arange(n)
@@ -193,35 +193,35 @@ def _validate_table(
     inverse = not (iv.min() < 0 or iv.max() >= n) and (
         np.array_equal(m[ar, iv], zeros) and np.array_equal(m[iv, ar], zeros)
     )
-    gens = _right_generators(m)
+    gens = g.generators
     if identity and inverse and gens is not None and all(np.array_equal(m[m[:, a]], m[:, m[a]]) for a in gens):
-        return ValidationResult(True), gens
+        return ValidationResult(True)
     if not np.array_equal(np.sort(m, axis=1), np.broadcast_to(ar, (n, n))):
         for i, row in enumerate(m.tolist()):
             seen: dict[int, int] = {}
             for j, v in enumerate(row):
                 if v in seen:
-                    return ValidationResult(False, "latin", (i, seen[v], j)), gens
+                    return ValidationResult(False, "latin", (i, seen[v], j))
                 seen[v] = j
     if not np.array_equal(np.sort(m, axis=0), np.broadcast_to(ar[:, None], (n, n))):
         for j, col in enumerate(m.T.tolist()):
             seen = {}
             for i, v in enumerate(col):
                 if v in seen:
-                    return ValidationResult(False, "latin", (seen[v], i, j)), gens
+                    return ValidationResult(False, "latin", (seen[v], i, j))
                 seen[v] = i
     if not identity:
         first, left = m[0].tolist(), m[:, 0].tolist()
         for i in range(n):
             if first[i] != i:
-                return ValidationResult(False, "identity", (0, i, first[i])), gens
+                return ValidationResult(False, "identity", (0, i, first[i]))
             if left[i] != i:
-                return ValidationResult(False, "identity", (i, 0, left[i])), gens
+                return ValidationResult(False, "identity", (i, 0, left[i]))
     if not inverse:
         for i in range(n):
             j = inv[i]
             if not 0 <= j < n or m[i, j] != 0 or m[j, i] != 0:
-                return ValidationResult(False, "inverse", (i, j, int(m[i, j]) if 0 <= j < n else -1)), gens
+                return ValidationResult(False, "inverse", (i, j, int(m[i, j]) if 0 <= j < n else -1))
     # Light's test did not prove it: the full O(n^3) sweep, chunked so peak memory stays modest
     block = max(1, (1 << 21) // max(1, n * n))
     for s in range(0, n, block):
@@ -230,8 +230,8 @@ def _validate_table(
         right = rows[:, m]      # right[b, j, k] = m[s+b, m[j, k]]
         if not np.array_equal(left, right):
             b, j, k = np.argwhere(left != right)[0]
-            return ValidationResult(False, "associativity", (s + int(b), int(j), int(k))), gens
-    return ValidationResult(True), gens
+            return ValidationResult(False, "associativity", (s + int(b), int(j), int(k)))
+    return ValidationResult(True)
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +243,12 @@ class GroupSpec:
 
     A family checks its parameters when a spec is constructed, so every
     spec object is valid.  It names its group, gives its order and drafts
-    its table; a scan family (FAMILIES) also lists its members.
+    its table; a scan family (FAMILIES) also lists its members.  Its
+    notation, with one {} per field in field order, is both how
+    canonical() writes a spec and what parse_spec reads.
     """
+
+    notation: ClassVar[str]
 
     def expected_order(self) -> int | None:
         """Order implied by the parameters, or None when only known after closure.
@@ -255,7 +259,7 @@ class GroupSpec:
         raise NotImplementedError
 
     def canonical(self) -> str:
-        raise NotImplementedError
+        return self.notation.format(*(getattr(self, f.name) for f in fields(self)))
 
     def draft(self, max_order: int) -> _Draft:
         """The group's table, not yet checked; a group of unknown order stops past max_order."""
@@ -293,9 +297,8 @@ def _is_pow2(v: int) -> bool:
     return v >= 1 and v & (v - 1) == 0
 
 
-def primes_of(g: GroupTable | int) -> list[int]:
-    """Distinct prime divisors of the group order (or of an integer), ascending."""
-    n = g if isinstance(g, int) else g.order
+def primes_of(n: int) -> list[int]:
+    """Distinct prime divisors of n, ascending."""
     out = []
     d = 2
     while d * d <= n:
@@ -341,6 +344,7 @@ def _is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class Cyclic(GroupSpec):
+    notation = "C{}"
     n: int
 
     def __post_init__(self) -> None:
@@ -349,9 +353,6 @@ class Cyclic(GroupSpec):
 
     def expected_order(self) -> int:
         return self.n
-
-    def canonical(self) -> str:
-        return f"C{self.n}"
 
     def draft(self, max_order: int) -> _Draft:
         return _build_metacyclic(self.n, 1, 1, 0, "a", "b", self.canonical())
@@ -363,6 +364,7 @@ class Cyclic(GroupSpec):
 
 @dataclass(frozen=True)
 class Dihedral(GroupSpec):
+    notation = "D{}"
     order: int
 
     def __post_init__(self) -> None:
@@ -371,9 +373,6 @@ class Dihedral(GroupSpec):
 
     def expected_order(self) -> int:
         return self.order
-
-    def canonical(self) -> str:
-        return f"D{self.order}"
 
     def draft(self, max_order: int) -> _Draft:
         m = self.order // 2
@@ -387,6 +386,7 @@ class Dihedral(GroupSpec):
 
 @dataclass(frozen=True)
 class Dicyclic(GroupSpec):
+    notation = "Dic{}"  # canonical() writes Q<4m> instead when m is a power of two
     m: int          # order is 4m; m a power of two gives the quaternion family
 
     def __post_init__(self) -> None:
@@ -397,7 +397,7 @@ class Dicyclic(GroupSpec):
         return 4 * self.m
 
     def canonical(self) -> str:
-        return f"Q{4 * self.m}" if _is_pow2(self.m) else f"Dic{self.m}"
+        return f"Q{4 * self.m}" if _is_pow2(self.m) else super().canonical()
 
     def draft(self, max_order: int) -> _Draft:
         m = self.m
@@ -410,6 +410,7 @@ class Dicyclic(GroupSpec):
 
 @dataclass(frozen=True)
 class ModularMaxCyclic(GroupSpec):
+    notation = "M{}^{}"
     p: int
     n: int
 
@@ -430,9 +431,6 @@ class ModularMaxCyclic(GroupSpec):
 
     def expected_order(self) -> int:
         return _bounded_product(itertools.repeat(self.p, self.n))
-
-    def canonical(self) -> str:
-        return f"M{self.p}^{self.n}"
 
     def draft(self, max_order: int) -> _Draft:
         p, n = self.p, self.n
@@ -455,6 +453,7 @@ class ModularMaxCyclic(GroupSpec):
 
 @dataclass(frozen=True)
 class Semidihedral(GroupSpec):
+    notation = "SD{}"
     order: int
 
     def __post_init__(self) -> None:
@@ -463,9 +462,6 @@ class Semidihedral(GroupSpec):
 
     def expected_order(self) -> int:
         return self.order
-
-    def canonical(self) -> str:
-        return f"SD{self.order}"
 
     def draft(self, max_order: int) -> _Draft:
         mx = self.order // 2
@@ -479,6 +475,7 @@ class Semidihedral(GroupSpec):
 
 @dataclass(frozen=True)
 class Symmetric(GroupSpec):
+    notation = "S{}"
     n: int
 
     def __post_init__(self) -> None:
@@ -487,9 +484,6 @@ class Symmetric(GroupSpec):
 
     def expected_order(self) -> int:
         return _bounded_product(range(2, self.n + 1))
-
-    def canonical(self) -> str:
-        return f"S{self.n}"
 
     def draft(self, max_order: int) -> _Draft:
         n = self.n
@@ -505,6 +499,7 @@ class Symmetric(GroupSpec):
 
 @dataclass(frozen=True)
 class Alternating(GroupSpec):
+    notation = "A{}"
     n: int
 
     def __post_init__(self) -> None:
@@ -513,9 +508,6 @@ class Alternating(GroupSpec):
 
     def expected_order(self) -> int:
         return _bounded_product(range(3, self.n + 1))  # n!/2, and 1 for n < 3
-
-    def canonical(self) -> str:
-        return f"A{self.n}"
 
     def draft(self, max_order: int) -> _Draft:
         # the 3-cycles (1 2 k)
@@ -532,6 +524,7 @@ class Alternating(GroupSpec):
 class ZM(GroupSpec):
     """Metacyclic group <a, b | a^m = b^n = 1, b a b^-1 = a^r>."""
 
+    notation = "ZM({},{},{})"
     m: int
     n: int
     r: int
@@ -550,9 +543,6 @@ class ZM(GroupSpec):
 
     def expected_order(self) -> int:
         return self.m * self.n
-
-    def canonical(self) -> str:
-        return f"ZM({self.m},{self.n},{self.r})"
 
     def draft(self, max_order: int) -> _Draft:
         return _build_metacyclic(self.m, self.n, self.r % max(1, self.m), 0, "a", "b", self.canonical())
@@ -691,22 +681,13 @@ def parse_spec(text: str) -> GroupSpec:
     return DirectProduct(tuple(parse_spec(p) for p in parts))
 
 
-# the atoms whose fields are the integers written, in field order
-_ATOMS = (
-    (r"C(\d+)", Cyclic),
-    (r"D(\d+)", Dihedral),
-    (r"Dic(\d+)", Dicyclic),
-    (r"M(\d+)\^(\d+)", ModularMaxCyclic),
-    (r"SD(\d+)", Semidihedral),
-    (r"S(\d+)", Symmetric),
-    (r"A(\d+)", Alternating),
-    (r"ZM\((\d+),(\d+),(\d+)\)", ZM),
-)
+# each family's notation as a pattern, each {} a field written in digits
+_NOTATIONS = [(re.compile(re.escape(f.notation).replace(r"\{\}", r"(\d+)")), f) for f in FAMILIES.values()]
 
 
 def _parse_atom(s: str) -> GroupSpec:
-    for pattern, family in _ATOMS:
-        if m := re.fullmatch(pattern, s):
+    for pattern, family in _NOTATIONS:
+        if m := pattern.fullmatch(s):
             return family(*map(_int, m.groups()))
     if m := re.fullmatch(r"Q(\d+)", s):
         q = _int(m.group(1))
@@ -747,7 +728,8 @@ class _Draft:
 
     table is the n x n index array the check reads, in any integer type
     that holds its entries; the metacyclic builder makes it narrow.  The
-    rows GroupTable keeps are made from it once the check has passed.
+    rows GroupTable keeps are made from it before the check, which reads
+    the generating set GroupTable.generators finds in them.
     """
 
     table: np.ndarray
@@ -896,18 +878,16 @@ def _build(spec: GroupSpec, max_order: int) -> _Draft:
 def build_group(spec: GroupSpec | str, max_order: int = DEFAULT_MAX_ORDER) -> GroupTable:
     """Construct and validate the Cayley table for a spec (or spec string).
 
-    The check reads the index array the builder made, with the checks of
-    validate_group, and the table is turned into rows only once it has
-    passed.  The generators Light's test found are kept as the group's.
+    The check is validate_group's, run on the index array the builder
+    made rather than on an array made again from the rows.
     """
     if isinstance(spec, str):
         spec = parse_spec(spec)
     draft = _build(spec, max_order)
-    check, gens = _validate_table(draft.table, draft.inv, draft.labels)
+    g = draft.group()
+    check = _validate_table(draft.table, g)
     if not check.ok:
         raise RuntimeError(
             f"constructed table for {spec.canonical()} failed {check.problem} at {check.witness}"
         )
-    g = draft.group()
-    g.generators = gens  # what GroupTable.generators would find again from the rows
     return g

@@ -63,7 +63,7 @@ def sylow_subgroups(lat: SubgroupLattice, p: int) -> list[int]:
 
 def is_nilpotent(lat: SubgroupLattice) -> bool:
     """Every Sylow subgroup is normal, that is, the only one of its order."""
-    return all(len(sylow_subgroups(lat, p)) == 1 for p in primes_of(lat.group))
+    return all(len(sylow_subgroups(lat, p)) == 1 for p in primes_of(lat.group.order))
 
 
 def omega1(g: GroupTable, p: int) -> Subgroup:
@@ -104,7 +104,7 @@ def is_generalized_quaternion(lat: SubgroupLattice) -> bool:
 
 
 def is_cyclic_pgroup_order_ge_p2(g: GroupTable) -> bool:
-    ps = primes_of(g)
+    ps = primes_of(g.order)
     if len(ps) != 1 or g.order == ps[0]:
         return False
     return is_cyclic(g)
@@ -137,7 +137,7 @@ class StructureProfile:
 def build_profile(lat: SubgroupLattice) -> StructureProfile:
     g = lat.group
     return StructureProfile(
-        primes=tuple(primes_of(g)),
+        primes=tuple(primes_of(g.order)),
         is_abelian=is_abelian(g),
         is_cyclic=is_cyclic(g),
         is_nilpotent=is_nilpotent(lat),

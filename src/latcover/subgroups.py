@@ -36,7 +36,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from operator import and_, or_
+from operator import and_, attrgetter, or_
 
 from .errors import SubgroupCapExceeded
 from .groups import GroupTable, primes_of
@@ -139,9 +139,6 @@ class SubgroupLattice:
     solvable: bool
     _index: dict[int, int] = field(repr=False, default_factory=dict)
 
-    def __len__(self) -> int:
-        return len(self.subs)
-
     def index_of(self, elems: tuple[int, ...] | Subgroup) -> int:
         """The listing index of a subgroup given by its elements, in any order.
 
@@ -156,14 +153,10 @@ class SubgroupLattice:
             raise KeyError(f"{elems.elems} is not a subgroup of {self.group.spec}")
         return i
 
-    @cached_property
-    def _orders(self) -> list[int]:
-        return [len(s.elems) for s in self.subs]
-
     def of_order(self, k: int) -> range:
         """Indices of the subgroups of order k, a range since the listing is sorted by order."""
-        orders = self._orders
-        return range(bisect_left(orders, k), bisect_right(orders, k))
+        order = attrgetter("order")
+        return range(bisect_left(self.subs, k, key=order), bisect_right(self.subs, k, key=order))
 
     @cached_property
     def cyclic(self) -> list[bool]:

@@ -2,11 +2,13 @@
 
 Everything here trades speed for obviousness: subgroups come from an
 exhaustive subset sweep or from the plain coset-skipping extension loop,
-the subgroup counts of abelian groups from a closed form, poset facts from the raw definitions or from the transpose of leq, table
-associativity from checking every triple, the abelian, nilpotent and
-solvable flags from sweeps over the table or from Hall p-complements in
-the lattice, element orders, conjugates and normalizers from their
-definitions, and Cayley tables cell by cell in pure Python.  Results are
+the subgroup counts of abelian groups, by order and by type, from a
+closed form, poset facts from the raw definitions or from the transpose
+of leq, table associativity from checking every triple, the abelian,
+nilpotent and solvable flags from sweeps over the table or from Hall
+p-complements in the lattice, element orders, conjugates and
+normalizers from their definitions, and Cayley tables cell by cell in
+pure Python.  Results are
 cached per spec string because several test modules share them.
 family_specs lists the specs of a family for the tests that sweep one.
 """
@@ -62,12 +64,17 @@ def _partitions_inside(lam: list[int]) -> list[list[int]]:
     return out
 
 
-def abelian_subgroup_counts(cyclic_orders: list[int] | tuple[int, ...]) -> dict[int, int]:
-    """The subgroups of C_n1 x ... x C_nk by order, from a closed form alone.
+# an abelian group's type: (p, nu) for each prime p of its order, ascending, where
+# the Sylow p-subgroup is the product of the C_(p^nu_i), parts descending and nonzero
+AbelianType = tuple[tuple[int, tuple[int, ...]], ...]
+
+
+def abelian_subgroup_type_counts(cyclic_orders: list[int] | tuple[int, ...]) -> dict[AbelianType, int]:
+    """The subgroups of C_n1 x ... x C_nk by type, from a closed form alone.
 
     For each prime p the p-parts p^lam_i of the n_i give the type lam of
     the Sylow p-subgroup.  Its subgroups of type nu, a partition inside
-    lam, have order p^|nu| and number
+    lam, number
 
         prod_i p^(nu'_(i+1) (lam'_i - nu'_i)) [lam'_i - nu'_(i+1) choose nu'_i - nu'_(i+1)]_p
 
@@ -86,20 +93,55 @@ def abelian_subgroup_counts(cyclic_orders: list[int] | tuple[int, ...]) -> dict[
             if e:
                 exps.setdefault(p, []).append(e)
             p += 1
-    counts = {1: 1}
-    for p, lam in exps.items():
-        lam = sorted(lam, reverse=True)
+    counts: dict[AbelianType, int] = {(): 1}
+    for p in sorted(exps):
+        lam = sorted(exps[p], reverse=True)
         lam_c = _conjugate(lam, lam[0] + 1)
-        by_order: dict[int, int] = {}
+        by_type: dict[tuple[int, ...], int] = {}
         for nu in _partitions_inside(lam):
             nu_c = _conjugate(nu, lam[0] + 1)
             count = 1
             for i in range(lam[0]):
                 count *= p ** (nu_c[i + 1] * (lam_c[i] - nu_c[i]))
                 count *= gaussian_binomial(lam_c[i] - nu_c[i + 1], nu_c[i] - nu_c[i + 1], p)
-            by_order[p ** sum(nu)] = by_order.get(p ** sum(nu), 0) + count
-        counts = {a * b: ca * cb for a, ca in counts.items() for b, cb in by_order.items()}
+            by_type[tuple(x for x in nu if x)] = count
+        counts = {t + ((p, nu),): c * cn for t, c in counts.items() for nu, cn in by_type.items()}
     return counts
+
+
+def abelian_subgroup_counts(cyclic_orders: list[int] | tuple[int, ...]) -> dict[int, int]:
+    """The subgroups of C_n1 x ... x C_nk by order: the closed-form counts of each type, summed."""
+    counts: dict[int, int] = {}
+    for t, count in abelian_subgroup_type_counts(cyclic_orders).items():
+        k = math.prod(p ** sum(nu) for p, nu in t)
+        counts[k] = counts.get(k, 0) + count
+    return counts
+
+
+def abelian_subgroup_type(g: GroupTable, elems: tuple[int, ...]) -> AbelianType:
+    """The type of an abelian subgroup, for each prime of |g|, from the orders of its elements.
+
+    A Sylow p-subgroup of type nu has p^(nu'_1 + ... + nu'_k) elements
+    of order dividing p^k, so each k that adds elements gives the next
+    part of the conjugate partition nu'.
+    """
+    orders = g.element_orders
+    out = []
+    for p in primes_of(g.order):
+        logs = [0]  # logs[k]: log_p of the elements of order dividing p^k
+        while True:
+            q = p ** len(logs)
+            count = sum(1 for x in elems if q % orders[x] == 0)
+            e = 0
+            while count > 1:
+                count //= p
+                e += 1
+            if e == logs[-1]:
+                break
+            logs.append(e)
+        nu_c = [b - a for a, b in zip(logs, logs[1:])]
+        out.append((p, tuple(_conjugate(nu_c, nu_c[0] if nu_c else 0))))
+    return tuple(out)
 
 
 def brute_subgroups(g: GroupTable) -> list[tuple[int, ...]]:
@@ -267,7 +309,7 @@ def is_normal(g: GroupTable, sub: Subgroup) -> bool:
 
 def normal_sylow_is_nilpotent(lat: SubgroupLattice) -> bool:
     """A Sylow p-subgroup is normal, checked by conjugating it by every element, for each p."""
-    for p in primes_of(lat.group):
+    for p in primes_of(lat.group.order):
         first = sylow_subgroups(lat, p)[0]
         if not is_normal(lat.group, lat.subs[first]):
             return False
@@ -295,7 +337,7 @@ def derived_series_is_solvable(g: GroupTable) -> bool:
 
 def hall_complements_is_solvable(lat: SubgroupLattice) -> bool:
     """A p-complement exists for every prime p (P. Hall, 1928 and 1937)."""
-    return all(p_complement(lat, p) is not None for p in primes_of(lat.group))
+    return all(p_complement(lat, p) is not None for p in primes_of(lat.group.order))
 
 
 def _coset_extend(g: GroupTable, elems: list[int], mask: int, gens: list[int], a: int) -> tuple[list[int], int]:

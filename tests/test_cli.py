@@ -4,7 +4,10 @@ import csv
 import functools
 import io
 import json
+import re
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -439,3 +442,20 @@ def test_no_arguments_is_exit_2(capsys):
 def test_help_is_exit_0(capsys):
     assert main(["--help"]) == 0
     assert "analyze" in capsys.readouterr().out
+
+
+def test_readme_library_example_prints_no_breaking_point(capsys):
+    # the README's Library block, run as written, through the package's top-level names
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    [block] = re.findall(r"## Library\n\n```python\n(.*?)```", readme, re.S)
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines()[0] == "[]"
+
+
+@pytest.mark.parametrize("argv,code", [(["verify", "theorem9"], 0), (["analyze", "C0"], 2), (["analyze", "C600"], 3)])
+def test_entrypoint_exits_with_mains_code(argv, code, monkeypatch, capsys):
+    # the console script's function, which setuptools calls with the arguments in sys.argv
+    monkeypatch.setattr(sys, "argv", ["latcover", *argv])
+    with pytest.raises(SystemExit) as info:
+        cli.entrypoint()
+    assert info.value.code == main(argv) == code

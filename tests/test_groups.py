@@ -161,6 +161,14 @@ def test_parse_canonical(text, canon):
     assert parse_spec(text).canonical() == canon
 
 
+@pytest.mark.parametrize("family", FAMILY_NAMES)
+def test_parse_reads_what_canonical_writes(family):
+    # a family's notation is written once, and canonical() and parse_spec both read it
+    members = groups.FAMILIES[family].members(DEFAULT_MAX_ORDER)
+    assert members
+    assert all(parse_spec(spec.canonical()) == spec for spec in members)
+
+
 def test_parse_expected_orders():
     assert parse_spec("SD16").expected_order() == 16
     assert parse_spec("ZM(7,3,2)").expected_order() == 21
@@ -227,6 +235,31 @@ def test_parse_product_factors():
 def test_parse_rejects(text):
     with pytest.raises(SpecInvalid):
         parse_spec(text)
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("C0", "cyclic order must be >= 1, got 0"),
+        ("D7", "dihedral order must be even and >= 4, got 7"),
+        ("Dic1", "dicyclic parameter must be >= 2, got 1"),
+        ("Q12", "quaternion order must be 2^n >= 8, got 12"),
+        ("M3^2", "M3^n needs n >= 3, got n=2"),
+        ("SD8", "semidihedral order must be 2^n with n >= 4, got 8"),
+        ("S0", "symmetric degree must be >= 1, got 0"),
+        ("A0", "alternating degree must be >= 1, got 0"),
+        ("ZM(7,3,3)", "ZM(7,3,3) needs r^n = 1 (mod m)"),
+        ("ZM(7,3)", "unrecognized group spec 'ZM(7,3)'"),
+        ("M3^", "unrecognized group spec 'M3^'"),
+        ("C-1", "unrecognized group spec 'C-1'"),
+        pytest.param("C" + "1" * 5000, "integer of 5000 digits is too long", id="C<5000 digits>"),
+        ("perm:0:(1)", "permutation degree must be >= 1, got 0"),
+    ],
+)
+def test_parse_reject_messages(text, message):
+    with pytest.raises(SpecInvalid) as info:
+        parse_spec(text)
+    assert str(info.value) == message
 
 
 def test_is_prime_matches_trial_division():
@@ -422,20 +455,19 @@ def test_symmetric_and_alternating_match_listed_permutations(spec):
 def test_build_group_checks_the_table_it_keeps(spec, monkeypatch):
     checked = []
 
-    def record(m, inv, labels):
-        result = validate_table(m, inv, labels)
-        checked.append((m, inv, labels, result))
+    def record(m, g):
+        result = validate_table(m, g)
+        checked.append((m, g, result))
         return result
 
     validate_table = groups._validate_table
     monkeypatch.setattr(groups, "_validate_table", record)
     g = build_group(spec)
-    [(m, inv, labels, (res, gens))] = checked
+    [(m, checked_g, res)] = checked
     assert res == ValidationResult(True)
+    # the check reads the group it returns, whose rows are the array checked
+    assert checked_g is g
     assert np.array_equal(m, np.asarray(g.mul))
-    assert (inv, labels) == (g.inv, g.labels)
-    # the generators kept are the ones the rows give
-    assert gens == g.generators == groups._right_generators(g.mul)
 
 
 @pytest.mark.parametrize("loop_first", [True, False])

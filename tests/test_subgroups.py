@@ -2,6 +2,7 @@
 
 import math
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -101,6 +102,9 @@ def test_abelian_subgroup_counts_match_closed_form(factors):
     lat = enumerate_subgroups(g, total)
     assert {k: len(lat.of_order(k)) for k in want} == want
     assert len(lat.subs) == total
+    # and by type, each subgroup's type read off its element orders
+    types = Counter(oracles.abelian_subgroup_type(g, s.elems) for s in lat.subs)
+    assert types == oracles.abelian_subgroup_type_counts(factors)
     with pytest.raises(SubgroupCapExceeded, match=f"^more than {total - 1} subgroups in group of order {g.order}$"):
         enumerate_subgroups(g, total - 1)
 
@@ -408,7 +412,7 @@ def test_lattice_properties_on_random_specs(spec):
     g = build_group(spec)
     lat = enumerate_subgroups(g)
     ccp = conjugacy_classes(lat)
-    assert sum(len(cls) for cls in ccp.classes) == len(lat)
+    assert sum(len(cls) for cls in ccp.classes) == len(lat.subs)
     for cls, rep in zip(ccp.classes, ccp.rep):
         assert len(cls) == g.order // normalizer(g, lat.subs[rep]).order
     masks = [s.mask for s in lat.subs]
