@@ -319,7 +319,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--all-witnesses",
         action="store_true",
         default=None,
-        help="count every covering pair instead of stopping at the first",
+        help="also report how many covering pairs there are",
     )
     pa.add_argument("--max-order", type=_cap)
     pa.add_argument("--max-subgroups", type=_cap)

@@ -355,7 +355,7 @@ class Cyclic(GroupSpec):
         return self.n
 
     def draft(self, max_order: int) -> _Draft:
-        return _build_metacyclic(self.n, 1, 1, 0, "a", "b", self.canonical())
+        return _build_metacyclic(self.n, 1, 1, 0, "a", "b")
 
     @classmethod
     def members(cls, max_order: int) -> list[GroupSpec]:
@@ -376,7 +376,7 @@ class Dihedral(GroupSpec):
 
     def draft(self, max_order: int) -> _Draft:
         m = self.order // 2
-        return _build_metacyclic(m, 2, m - 1, 0, "x", "y", self.canonical())
+        return _build_metacyclic(m, 2, m - 1, 0, "x", "y")
 
     @classmethod
     def members(cls, max_order: int) -> list[GroupSpec]:
@@ -401,7 +401,7 @@ class Dicyclic(GroupSpec):
 
     def draft(self, max_order: int) -> _Draft:
         m = self.m
-        return _build_metacyclic(2 * m, 2, 2 * m - 1, m, "a", "b", self.canonical())
+        return _build_metacyclic(2 * m, 2, 2 * m - 1, m, "a", "b")
 
     @classmethod
     def members(cls, max_order: int) -> list[GroupSpec]:
@@ -430,7 +430,8 @@ class ModularMaxCyclic(GroupSpec):
         return 4 if p == 2 else 3
 
     def expected_order(self) -> int:
-        return _bounded_product(itertools.repeat(self.p, self.n))
+        # range, not itertools.repeat, takes an n past the C integer range
+        return _bounded_product(self.p for _ in range(self.n))
 
     def draft(self, max_order: int) -> _Draft:
         p, n = self.p, self.n
@@ -438,7 +439,7 @@ class ModularMaxCyclic(GroupSpec):
         r = p ** (n - 2) + 1
         # y x y^-1 = x^(r^-1) follows from x^y = x^r; r has order p mod mx
         t = pow(r, p - 1, mx)
-        return _build_metacyclic(mx, p, t, 0, "x", "y", self.canonical())
+        return _build_metacyclic(mx, p, t, 0, "x", "y")
 
     @classmethod
     def members(cls, max_order: int) -> list[GroupSpec]:
@@ -466,7 +467,7 @@ class Semidihedral(GroupSpec):
     def draft(self, max_order: int) -> _Draft:
         mx = self.order // 2
         r = mx // 2 - 1      # self-inverse mod mx
-        return _build_metacyclic(mx, 2, r, 0, "x", "y", self.canonical())
+        return _build_metacyclic(mx, 2, r, 0, "x", "y")
 
     @classmethod
     def members(cls, max_order: int) -> list[GroupSpec]:
@@ -489,7 +490,7 @@ class Symmetric(GroupSpec):
         n = self.n
         # a transposition and an n-cycle
         gens = [(1, 0, *range(2, n)), (*range(1, n), 0)] if n > 1 else []
-        return _perm_draft(gens, range(n), self.canonical(), max_order)
+        return _perm_draft(gens, range(n), max_order)
 
     @classmethod
     def members(cls, max_order: int) -> list[GroupSpec]:
@@ -512,7 +513,7 @@ class Alternating(GroupSpec):
     def draft(self, max_order: int) -> _Draft:
         # the 3-cycles (1 2 k)
         gens = [(1, k, *range(2, k), 0, *range(k + 1, self.n)) for k in range(2, self.n)]
-        return _perm_draft(gens, range(self.n), self.canonical(), max_order)
+        return _perm_draft(gens, range(self.n), max_order)
 
     @classmethod
     def members(cls, max_order: int) -> list[GroupSpec]:
@@ -545,7 +546,7 @@ class ZM(GroupSpec):
         return self.m * self.n
 
     def draft(self, max_order: int) -> _Draft:
-        return _build_metacyclic(self.m, self.n, self.r % max(1, self.m), 0, "a", "b", self.canonical())
+        return _build_metacyclic(self.m, self.n, self.r % max(1, self.m), 0, "a", "b")
 
     @classmethod
     def members(cls, max_order: int) -> list[GroupSpec]:
@@ -568,13 +569,8 @@ class DirectProduct(GroupSpec):
             raise SpecInvalid("direct product needs at least two factors")
 
     def expected_order(self) -> int | None:
-        total = 1
-        for f in self.factors:
-            o = f.expected_order()
-            if o is None:
-                return None
-            total *= o
-        return total
+        orders = [f.expected_order() for f in self.factors]
+        return None if None in orders else _bounded_product(orders)
 
     def canonical(self) -> str:
         return "x".join(f.canonical() for f in self.factors)
@@ -615,7 +611,7 @@ class PermGenerated(GroupSpec):
         return f"perm:{self.degree}:{gens}"
 
     def draft(self, max_order: int) -> _Draft:
-        return _perm_draft(self.generators, self.points, self.canonical(), max_order)
+        return _perm_draft(self.generators, self.points, max_order)
 
 
 # each scan family, in row order
@@ -727,23 +723,14 @@ class _Draft:
     """A Cayley table as a builder made it, before build_group has checked it.
 
     table is the n x n index array the check reads, in any integer type
-    that holds its entries; the metacyclic builder makes it narrow.  The
-    rows GroupTable keeps are made from it before the check, which reads
-    the generating set GroupTable.generators finds in them.
+    that holds its entries; the metacyclic builder makes it narrow.
+    labels names each element.  A builder hands over these two and
+    nothing more: build_group reads the order, rows and inverses off the
+    table and takes the name from the spec.
     """
 
     table: np.ndarray
-    inv: list[int]
     labels: list[str]
-    spec: str
-
-    def group(self) -> GroupTable:
-        return GroupTable(len(self.table), _rows(self.table), self.inv, self.labels, self.spec)
-
-
-def _from_array(m: np.ndarray, labels: list[str], spec_str: str) -> _Draft:
-    """A table built as an array of indices.  Row x holds 0, the least index, once: at column x^-1."""
-    return _Draft(m, m.argmin(axis=1).tolist(), labels, spec_str)
 
 
 def _word_labels(mx: int, k: int, xn: str, yn: str) -> list[str]:
@@ -753,7 +740,7 @@ def _word_labels(mx: int, k: int, xn: str, yn: str) -> list[str]:
     return [f"{x}*{y}" if x and y else x or y or "1" for x in xs for y in ys]
 
 
-def _build_metacyclic(mx: int, k: int, t: int, twist: int, xn: str, yn: str, spec_str: str) -> _Draft:
+def _build_metacyclic(mx: int, k: int, t: int, twist: int, xn: str, yn: str) -> _Draft:
     """Words x^i y^e with y x y^-1 = x^t and y^k = x^twist; index is i*k + e.
 
     With k = 1 the words are the powers of x: the cyclic group of order mx.
@@ -770,7 +757,7 @@ def _build_metacyclic(mx: int, k: int, t: int, twist: int, xn: str, yn: str, spe
     m = np.arange(0, n, k, dtype=dt)[:, None, None, None] + w.astype(dt)
     # where i k + w < n, m - n wraps around to above m
     m = np.minimum(m, m - dt.type(n))
-    return _from_array(m.reshape(n, n), labels, spec_str)
+    return _Draft(m.reshape(n, n), labels)
 
 
 def _cycles_text(p: tuple[int, ...], points: Sequence[int]) -> str:
@@ -796,7 +783,7 @@ def _cycle_label(p: tuple[int, ...], points: Sequence[int]) -> str:
     return txt.replace(",", " ")
 
 
-def _table_from_perms(perms: list[tuple[int, ...]], points: Sequence[int], spec_str: str) -> _Draft:
+def _table_from_perms(perms: list[tuple[int, ...]], points: Sequence[int]) -> _Draft:
     """Cayley table of a list of permutations closed under the product p*q, which applies p first.
 
     p*q sends v to q[p[v]].  Each element and each product gets a key
@@ -826,12 +813,10 @@ def _table_from_perms(perms: list[tuple[int, ...]], points: Sequence[int], spec_
     index = np.empty(n, dtype=np.int64)
     index[key] = np.arange(n)
     labels = [_cycle_label(q, points) for q in perms]
-    return _from_array(index[prod_key], labels, spec_str)
+    return _Draft(index[prod_key], labels)
 
 
-def _perm_draft(
-    generators: Sequence[tuple[int, ...]], points: Sequence[int], spec_str: str, max_order: int
-) -> _Draft:
+def _perm_draft(generators: Sequence[tuple[int, ...]], points: Sequence[int], max_order: int) -> _Draft:
     """The table of the group that permutations of 0..len(points)-1 generate, its elements in sorted order."""
     identity = tuple(range(len(points)))
     seen = {identity}
@@ -849,7 +834,7 @@ def _perm_draft(
                             f"generated permutation group exceeds order cap {max_order}"
                         )
         frontier = nxt
-    return _table_from_perms(sorted(seen), points, spec_str)
+    return _table_from_perms(sorted(seen), points)
 
 
 def _product(d1: _Draft, d2: _Draft, max_order: int) -> _Draft:
@@ -861,9 +846,7 @@ def _product(d1: _Draft, d2: _Draft, max_order: int) -> _Draft:
     # axes (a1, b1, a2, b2): (a1, b1) * (a2, b2) = (a1 a2, b1 b2)
     # widened first: a factor's narrow index type need not hold i*|d2| + j
     m = (d1.table.astype(np.int64)[:, None, :, None] * n2 + d2.table[None, :, None, :]).reshape(n, n)
-    inv = [i * n2 + j for i in d1.inv for j in d2.inv]
-    labels = [f"({x},{y})" for x in d1.labels for y in d2.labels]
-    return _Draft(m, inv, labels, f"{d1.spec}x{d2.spec}")
+    return _Draft(m, [f"({x},{y})" for x in d1.labels for y in d2.labels])
 
 
 def _build(spec: GroupSpec, max_order: int) -> _Draft:
@@ -878,14 +861,17 @@ def _build(spec: GroupSpec, max_order: int) -> _Draft:
 def build_group(spec: GroupSpec | str, max_order: int = DEFAULT_MAX_ORDER) -> GroupTable:
     """Construct and validate the Cayley table for a spec (or spec string).
 
-    The check is validate_group's, run on the index array the builder
-    made rather than on an array made again from the rows.
+    The builder hands over a table and its labels; the rest is read here.
+    Row x holds 0, its least index, once: at column x^-1, which the check
+    then proves.  The check is validate_group's, run on the index array
+    the builder made rather than on an array made again from the rows.
     """
     if isinstance(spec, str):
         spec = parse_spec(spec)
     draft = _build(spec, max_order)
-    g = draft.group()
-    check = _validate_table(draft.table, g)
+    m = draft.table
+    g = GroupTable(len(m), _rows(m), m.argmin(axis=1).tolist(), draft.labels, spec.canonical())
+    check = _validate_table(m, g)
     if not check.ok:
         raise RuntimeError(
             f"constructed table for {spec.canonical()} failed {check.problem} at {check.witness}"

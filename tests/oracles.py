@@ -633,23 +633,26 @@ def relabelled(g: GroupTable, s: list[int]) -> GroupTable:
 
 def draft_of(g: GroupTable) -> groups._Draft:
     """g's table as the unchecked draft a builder hands to build_group."""
-    return groups._Draft(np.asarray(g.mul, dtype=np.int64), g.inv, g.labels, g.spec)
+    return groups._Draft(np.asarray(g.mul, dtype=np.int64), g.labels)
 
 
 # ---------------------------------------------------------------------------
-# Cayley tables cell by cell; each takes the arguments of the builder of
-# the same name without the python_ prefix in latcover.groups
+# Cayley tables cell by cell; python_build_metacyclic and
+# python_table_from_perms take the arguments of the builder of the same
+# name without the python_ prefix in latcover.groups, and return its draft
 
 
-def _python_table(mul: list[list[int]], labels: list[str], spec_str: str) -> GroupTable:
-    return GroupTable(len(mul), mul, [row.index(0) for row in mul], labels, spec_str)
+def table_of(d: groups._Draft, spec: str = "") -> GroupTable:
+    """The group named spec whose table and labels the draft holds, each inverse found by a search of its row for 0."""
+    mul = d.table.tolist()
+    return GroupTable(len(mul), mul, [row.index(0) for row in mul], d.labels, spec)
 
 
 def python_build_cyclic(spec) -> GroupTable:
     n = spec.n
     mul = [[(i + j) % n for j in range(n)] for i in range(n)]
     labels = ["1" if i == 0 else "a" if i == 1 else f"a^{i}" for i in range(n)]
-    return _python_table(mul, labels, spec.canonical())
+    return table_of(groups._Draft(np.asarray(mul, dtype=np.int64), labels), spec.canonical())
 
 
 def _word_label(i: int, e: int, xn: str, yn: str) -> str:
@@ -661,7 +664,7 @@ def _word_label(i: int, e: int, xn: str, yn: str) -> str:
     return "*".join(parts) if parts else "1"
 
 
-def python_build_metacyclic(mx: int, k: int, t: int, twist: int, xn: str, yn: str, spec_str: str) -> GroupTable:
+def python_build_metacyclic(mx: int, k: int, t: int, twist: int, xn: str, yn: str) -> groups._Draft:
     n = mx * k
     tpow = [pow(t, e, mx) for e in range(k)]
     mul = [[0] * n for _ in range(n)]
@@ -676,7 +679,7 @@ def python_build_metacyclic(mx: int, k: int, t: int, twist: int, xn: str, yn: st
                     i2 = (lead + twist * (s // k)) % mx
                     row[j * k + f] = i2 * k + (s % k)
     labels = [_word_label(i, e, xn, yn) for i in range(mx) for e in range(k)]
-    return _python_table(mul, labels, spec_str)
+    return groups._Draft(np.asarray(mul, dtype=np.int64), labels)
 
 
 def _cycle_label(p: tuple[int, ...], points) -> str:
@@ -696,10 +699,10 @@ def _cycle_label(p: tuple[int, ...], points) -> str:
     return "".join(out) if out else "()"
 
 
-def python_table_from_perms(perms: list[tuple[int, ...]], points, spec_str: str) -> GroupTable:
+def python_table_from_perms(perms: list[tuple[int, ...]], points) -> groups._Draft:
     index = {p: i for i, p in enumerate(perms)}
     mul = [[index[tuple(q[v] for v in p)] for q in perms] for p in perms]
-    return _python_table(mul, [_cycle_label(p, points) for p in perms], spec_str)
+    return groups._Draft(np.asarray(mul, dtype=np.int64), [_cycle_label(p, points) for p in perms])
 
 
 def _perm_parity(p: tuple[int, ...]) -> int:
@@ -765,7 +768,7 @@ def full_degree_perm_group(text: str) -> GroupTable:
         new = {tuple(g[v] for v in p) for p in frontier for g in gens} - seen
         seen |= new
         frontier = list(new)
-    return python_table_from_perms(sorted(seen), range(degree), text)
+    return table_of(python_table_from_perms(sorted(seen), range(degree)), text)
 
 
 def element_orders_by_walk(g: GroupTable) -> list[int]:

@@ -4,15 +4,18 @@ import csv
 import functools
 import io
 import json
+import math
 import re
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from latcover.cli import (
     SCAN_HEADER,
+    AnalysisReport,
     build_report,
     main,
     poset_dot,
@@ -20,6 +23,7 @@ from latcover.cli import (
     scan_rows_table,
 )
 from latcover import cli, verify
+from latcover.posets import KINDS
 from latcover.verify import CaseResult, SuiteResult, analyze_spec, scan_class_c
 
 
@@ -150,7 +154,15 @@ def test_analyze_cap_is_exit_3(capsys):
         ("A3000000", "A3000000 has order >= 10^4300 > cap 512"),
         ("A1700", "A1700 has order >= 10^4300 > cap 512"),
         ("M2^1000000000", "M2^1000000000 has order >= 10^4300 > cap 512"),
+        # an exponent past the C integer range
+        ("M2^10000000000000000000", "M2^10000000000000000000 has order >= 10^4300 > cap 512"),
         ("C2xS100000", "C2xS100000 has order >= 10^4300 > cap 512"),
+        # the factors' orders are multiplied only up to the bound, as a family's are
+        pytest.param(
+            "x".join(["S100000"] * 200),
+            "x".join(["S100000"] * 200) + " has order >= 10^4300 > cap 512",
+            id="S100000x...xS100000",
+        ),
     ],
 )
 def test_analyze_order_cap_message_is_fast(spec, message, capsys):
@@ -331,6 +343,27 @@ def test_poset_dot_shape():
     assert text.splitlines()[0] == "digraph poset {"
     assert text.endswith("}\n")
     assert "n0 -> n1;" in text
+
+
+# the 222 ordered pairs a, b >= 2 with gcd(a, b) = 1 and ab <= 128
+COPRIME_CYCLIC_PAIRS = [
+    (a, b) for a in range(2, 65) for b in range(2, 128 // a + 1) if math.gcd(a, b) == 1
+]
+
+
+def _report_without_names(spec: str) -> AnalysisReport:
+    """spec's report with its name, time and witness element labels taken out: what an isomorphism keeps."""
+    rep = build_report(analyze_spec(spec), True, 0.0)
+    return replace(rep, spec="", class_c=replace(rep.class_c, witness_m=None, witness_n=None))
+
+
+@pytest.mark.parametrize("a,b", COPRIME_CYCLIC_PAIRS, ids=[f"C{a}xC{b}" for a, b in COPRIME_CYCLIC_PAIRS])
+def test_coprime_cyclic_product_is_cyclic(a, b):
+    # C_a x C_b is C_ab; each order has one subgroup, so the nodes line up and the diagrams match too
+    product, cyclic = f"C{a}xC{b}", f"C{a * b}"
+    assert _report_without_names(product) == _report_without_names(cyclic)
+    for kind in KINDS:
+        assert poset_dot(analyze_spec(product).posets[kind]) == poset_dot(analyze_spec(cyclic).posets[kind])
 
 
 def test_env_max_order(monkeypatch, capsys):

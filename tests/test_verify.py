@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from latcover.groups import ZM
+from latcover.groups import ZM, primes_of
 from latcover.verify import (
     CATALOG,
     FAMILY_NAMES,
@@ -235,6 +235,18 @@ def test_scan128_rows_outside_class_c(scan128):
     assert [r.spec for r in outside if not r.is_cyclic] == ["D8", "D16", "D32", "D64", "D128", "S5", "A5"]
     primes = [p for p in range(2, 129) if all(p % d for d in range(2, p))]
     assert [r.spec for r in outside if r.is_cyclic] == ["C1", *(f"C{p}" for p in primes)]
+
+
+def test_scan128_rows_keep_the_papers_statements(scan128):
+    # Corollary 3: the four views agree on whether there is a breaking point
+    assert all(r.bp_L == r.bp_Lbar == r.bp_C == r.bp_Cbar for r in scan128)
+    # Theorem 1: Lbar has one exactly for the generalized quaternion groups and the cyclic p-groups of order p^k, k >= 2
+    breaking = [r for r in scan128 if r.bp_Lbar]
+    assert [r.spec for r in breaking if not r.is_cyclic] == ["Q8", "Q16", "Q32", "Q64", "Q128"]
+    prime_powers = [4, 8, 9, 16, 25, 27, 32, 49, 64, 81, 121, 125, 128]
+    assert [r.order for r in breaking if r.is_cyclic] == prime_powers
+    # Theorem 6: a solvable group whose order has at least two prime divisors is in C
+    assert all(r.in_C for r in scan128 if r.is_solvable and len(primes_of(r.order)) >= 2)
 
 
 def test_scan128_isomorphic_specs_give_the_same_row(scan128):
