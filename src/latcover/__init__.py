@@ -1,144 +1,30 @@
-"""Subgroup lattices, class posets, breaking points, two-interval covers."""
+"""Subgroup lattices, class posets, breaking points, two-interval covers.
+
+The root holds the queries of README's Library block and the error
+classes; everything else is read from its submodule: groups, subgroups,
+posets, structure, verify and cli.
+"""
 
 from .errors import (
     LatcoverError,
-    NotComparable,
     OrderCapExceeded,
     PrimeNotInOrder,
     SpecInvalid,
     SubgroupCapExceeded,
 )
-from .groups import (
-    DEFAULT_MAX_ORDER,
-    GroupTable,
-    ValidationResult,
-    build_group,
-    parse_spec,
-    primes_of,
-    validate_group,
-)
-from .posets import (
-    KINDS,
-    IntervalCoverWitness,
-    PosetView,
-    breaking_points,
-    build_poset,
-    cover_holds,
-    hasse_edges,
-    interval,
-    subgroup_is_cyclic,
-    two_interval_cover,
-)
-from .structure import (
-    StructureProfile,
-    build_profile,
-    derived_subgroup,
-    frattini,
-    is_abelian,
-    is_cyclic,
-    is_cyclic_pgroup_order_ge_p2,
-    is_generalized_quaternion,
-    is_nilpotent,
-    maximal_subgroups,
-    omega1,
-    order_p_subgroups_conjugate,
-    p_complement,
-    sylow_subgroups,
-)
-from .subgroups import (
-    DEFAULT_MAX_SUBGROUPS,
-    ConjClassPoset,
-    Subgroup,
-    SubgroupLattice,
-    closure,
-    conjugacy_classes,
-    enumerate_subgroups,
-)
-from .verify import (
-    CATALOG,
-    SUITE_ORDER,
-    SUITES,
-    THEOREM1_BREAKING,
-    THEOREM1_NONBREAKING,
-    Analysis,
-    CaseResult,
-    ScanRow,
-    SuiteResult,
-    analyze_spec,
-    in_class_c,
-    run_suites,
-    scan_class_c,
-    verify_corollary3,
-    verify_prop4_prop5,
-    verify_theorem1,
-    verify_theorem6_and_corollaries,
-    verify_theorem9,
-)
+from .posets import breaking_points, two_interval_cover
+from .verify import analyze_spec
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "LatcoverError",
-    "NotComparable",
-    "OrderCapExceeded",
-    "PrimeNotInOrder",
-    "SpecInvalid",
-    "SubgroupCapExceeded",
-    "DEFAULT_MAX_ORDER",
-    "GroupTable",
-    "ValidationResult",
-    "build_group",
-    "parse_spec",
-    "validate_group",
-    "KINDS",
-    "IntervalCoverWitness",
-    "PosetView",
-    "breaking_points",
-    "build_poset",
-    "cover_holds",
-    "hasse_edges",
-    "interval",
-    "subgroup_is_cyclic",
-    "two_interval_cover",
-    "StructureProfile",
-    "build_profile",
-    "derived_subgroup",
-    "frattini",
-    "is_abelian",
-    "is_cyclic",
-    "is_cyclic_pgroup_order_ge_p2",
-    "is_generalized_quaternion",
-    "is_nilpotent",
-    "maximal_subgroups",
-    "omega1",
-    "order_p_subgroups_conjugate",
-    "p_complement",
-    "primes_of",
-    "sylow_subgroups",
-    "DEFAULT_MAX_SUBGROUPS",
-    "ConjClassPoset",
-    "Subgroup",
-    "SubgroupLattice",
-    "closure",
-    "conjugacy_classes",
-    "enumerate_subgroups",
-    "CATALOG",
-    "SUITE_ORDER",
-    "SUITES",
-    "Analysis",
-    "CaseResult",
-    "ScanRow",
-    "THEOREM1_BREAKING",
-    "THEOREM1_NONBREAKING",
-    "verify_corollary3",
-    "verify_prop4_prop5",
-    "verify_theorem1",
-    "verify_theorem6_and_corollaries",
-    "verify_theorem9",
-    "SuiteResult",
     "analyze_spec",
-    "in_class_c",
-    "run_suites",
-    "scan_class_c",
+    "breaking_points",
+    "two_interval_cover",
+    "LatcoverError",
+    "SpecInvalid",
+    "OrderCapExceeded",
+    "SubgroupCapExceeded",
+    "PrimeNotInOrder",
     "__version__",
 ]

@@ -19,7 +19,3 @@ class SubgroupCapExceeded(LatcoverError):
 
 class PrimeNotInOrder(LatcoverError):
     """A prime argument does not divide the group order."""
-
-
-class NotComparable(LatcoverError):
-    """Interval endpoints are not comparable in the poset."""

@@ -576,8 +576,12 @@ class DirectProduct(GroupSpec):
         return "x".join(f.canonical() for f in self.factors)
 
     def draft(self, max_order: int) -> _Draft:
-        # a product table is a group exactly when every factor's is, so only the product is checked
-        return reduce(lambda a, b: _product(a, b, max_order), [_build(f, max_order) for f in self.factors])
+        # known factor orders are checked before any table is built, and each factor is built
+        # only once the running product is within the cap; a product table is a group exactly
+        # when every factor's is, so only the product is checked
+        for f in self.factors:
+            _check_order(f, max_order)
+        return reduce(lambda a, b: _product(a, b, max_order), (f.draft(max_order) for f in self.factors))
 
 
 @dataclass(frozen=True)
@@ -849,13 +853,12 @@ def _product(d1: _Draft, d2: _Draft, max_order: int) -> _Draft:
     return _Draft(m, [f"({x},{y})" for x in d1.labels for y in d2.labels])
 
 
-def _build(spec: GroupSpec, max_order: int) -> _Draft:
-    """spec.draft(max_order), once the order the spec implies is known to be within the cap."""
+def _check_order(spec: GroupSpec, max_order: int) -> None:
+    """Raise OrderCapExceeded when the order the spec implies is known to be over the cap."""
     expected = spec.expected_order()
     if expected is not None and expected > max_order:
         shown = expected if expected < _ORDER_BOUND else f">= 10^{_ORDER_DIGITS}"
         raise OrderCapExceeded(f"{spec.canonical()} has order {shown} > cap {max_order}")
-    return spec.draft(max_order)
 
 
 def build_group(spec: GroupSpec | str, max_order: int = DEFAULT_MAX_ORDER) -> GroupTable:
@@ -868,7 +871,8 @@ def build_group(spec: GroupSpec | str, max_order: int = DEFAULT_MAX_ORDER) -> Gr
     """
     if isinstance(spec, str):
         spec = parse_spec(spec)
-    draft = _build(spec, max_order)
+    _check_order(spec, max_order)
+    draft = spec.draft(max_order)
     m = draft.table
     g = GroupTable(len(m), _rows(m), m.argmin(axis=1).tolist(), draft.labels, spec.canonical())
     check = _validate_table(m, g)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotComparable
 from .groups import GroupTable
 from .subgroups import ConjClassPoset, Subgroup, SubgroupLattice
 
@@ -184,22 +183,6 @@ def cover_holds(p: PosetView, m: int, n: int) -> bool:
     """Re-check a claimed cover pair node by node."""
     _check_nodes(p, m, n)
     return all(p.le(x, m) or p.le(n, x) for x in range(p.size))
-
-
-def interval(p: PosetView, a: int, b: int) -> list[int]:
-    """All nodes x with a <= x <= b, ascending by node index."""
-    _check_nodes(p, a, b)
-    if not p.le(a, b):
-        raise NotComparable(f"nodes {a} and {b} are not comparable in {p.kind}")
-    leq = p.leq
-    above = leq[a] & ((2 << b) - 1)
-    out = []
-    while above:
-        x = (above & -above).bit_length() - 1
-        if leq[x] >> b & 1:
-            out.append(x)
-        above &= above - 1
-    return out
 
 
 def hasse_edges(p: PosetView) -> list[tuple[int, int]]:

@@ -526,12 +526,6 @@ def down_hasse_edges(view: PosetView, down: list[int]) -> list[tuple[int, int]]:
     return edges
 
 
-def down_interval(view: PosetView, down: list[int], a: int, b: int) -> list[int]:
-    """interval as leq[a] & down[b], without its comparability check."""
-    mask = view.leq[a] & down[b]
-    return [j for j in range(view.size) if mask >> j & 1]
-
-
 def down_two_interval_cover(
     view: PosetView, down: list[int], find_all: bool = False
 ) -> IntervalCoverWitness | tuple[int, int] | None:

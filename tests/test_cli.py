@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import latcover
 from latcover.cli import (
     SCAN_HEADER,
     AnalysisReport,
@@ -163,6 +164,11 @@ def test_analyze_cap_is_exit_3(capsys):
             "x".join(["S100000"] * 200) + " has order >= 10^4300 > cap 512",
             id="S100000x...xS100000",
         ),
+        # a perm: factor's order is known only once built, so every factor of known order
+        # is checked first, and then the factors and partial products in spec order
+        ("perm:2:(1,2)xC512xC600", "C600 has order 600 > cap 512"),
+        ("perm:2:(1,2)xC512xperm:7:(1,2);(1,2,3,4,5,6,7)", "product order 1024 exceeds cap 512"),
+        ("perm:7:(1,2);(1,2,3,4,5,6,7)xC2", "generated permutation group exceeds order cap 512"),
     ],
 )
 def test_analyze_order_cap_message_is_fast(spec, message, capsys):
@@ -483,6 +489,26 @@ def test_readme_library_example_prints_no_breaking_point(capsys):
     [block] = re.findall(r"## Library\n\n```python\n(.*?)```", readme, re.S)
     exec(compile(block, "README.md", "exec"), {})
     assert capsys.readouterr().out.splitlines()[0] == "[]"
+
+
+def test_package_root_exports_only_the_library_surface():
+    # the Library block's three queries, the error classes and the version; the rest is in submodules
+    names = [
+        "LatcoverError",
+        "OrderCapExceeded",
+        "PrimeNotInOrder",
+        "SpecInvalid",
+        "SubgroupCapExceeded",
+        "__version__",
+        "analyze_spec",
+        "breaking_points",
+        "two_interval_cover",
+    ]
+    assert sorted(latcover.__all__) == names
+    assert all(getattr(latcover, name) is not None for name in names)
+    star = {}
+    exec("from latcover import *", star)
+    assert sorted(set(star) - {"__builtins__"}) == names
 
 
 @pytest.mark.parametrize("argv,code", [(["verify", "theorem9"], 0), (["analyze", "C0"], 2), (["analyze", "C600"], 3)])

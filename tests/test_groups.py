@@ -137,6 +137,16 @@ def test_order_cap_checked_before_building():
         build_group("C30xC30")
 
 
+def test_product_builds_no_factor_past_an_over_cap_partial_product(monkeypatch):
+    # a perm: factor leaves the product's order unknown, so the running product meets the cap
+    drafted = []
+    draft = groups.Cyclic.draft
+    monkeypatch.setattr(groups.Cyclic, "draft", lambda self, n: drafted.append(self) or draft(self, n))
+    with pytest.raises(OrderCapExceeded, match="^product order 1024 exceeds cap 512$"):
+        build_group("perm:2:(1,2)" + "xC512" * 40)
+    assert len(drafted) == 1
+
+
 @pytest.mark.parametrize(
     "text,canon",
     [

@@ -1,12 +1,9 @@
 """The four poset views, breaking points, and two-interval covers."""
 
-import random
-
 import networkx as nx
 import pytest
 
 import oracles
-from latcover.errors import NotComparable
 from latcover.groups import build_group
 from latcover.posets import (
     KINDS,
@@ -14,7 +11,6 @@ from latcover.posets import (
     build_poset,
     cover_holds,
     hasse_edges,
-    interval,
     subgroup_is_cyclic,
     two_interval_cover,
 )
@@ -165,29 +161,6 @@ def test_cover_search_order_prefers_large_m():
     assert view.orders[w.n_idx] == 2
 
 
-def test_interval_c12():
-    view = analyze_spec("C12").posets["L"]
-    assert view.orders == [1, 2, 3, 4, 6, 12]
-    assert interval(view, 2, 5) == [2, 4, 5]
-    assert interval(view, 0, 5) == list(range(6))
-    assert interval(view, 3, 3) == [3]
-
-
-def test_interval_rejects_incomparable():
-    view = analyze_spec("C12").posets["L"]
-    with pytest.raises(NotComparable):
-        interval(view, 1, 2)
-
-
-@pytest.mark.parametrize("a,b", [(-1, 10), (0, 11), (11, 11), (0, -1), (-12, 3)])
-def test_interval_rejects_nodes_out_of_range(a, b):
-    view = analyze_spec("S4").posets["Lbar"]
-    assert view.size == 11
-    bad = a if not 0 <= a < 11 else b
-    with pytest.raises(ValueError, match=f"^node {bad} out of range for Lbar view of size 11$"):
-        interval(view, a, b)
-
-
 @pytest.mark.parametrize("m,n", [(11, 0), (0, -1), (-1, 0), (0, 11), (-12, 11)])
 def test_cover_holds_rejects_nodes_out_of_range(m, n):
     view = analyze_spec("S4").posets["Lbar"]
@@ -253,24 +226,6 @@ def test_cover_search_matches_down_oracle(spec, kind):
     assert w == oracles.down_two_interval_cover(view, down, True)
     first = None if w is None else (w.m_idx, w.n_idx)
     assert first == oracles.down_two_interval_cover(view, down, False)
-
-
-@pytest.mark.parametrize("spec", LEQ_SPECS)
-def test_interval_matches_down_oracle(spec):
-    rng = random.Random(spec)
-    for kind in KINDS:
-        view = analyze_spec(spec).posets[kind]
-        down = oracles.transpose(view.leq)
-        pairs = []
-        for a, row in enumerate(view.leq):
-            while row:
-                pairs.append((a, (row & -row).bit_length() - 1))
-                row &= row - 1
-        if len(pairs) > 300:
-            pairs = rng.sample(pairs, 300)
-        pairs.append((0, view.top_idx if view.top_idx is not None else view.size - 1))
-        for a, b in pairs:
-            assert interval(view, a, b) == oracles.down_interval(view, down, a, b), (kind, a, b)
 
 
 @pytest.mark.parametrize("spec", MIDSIZE)
