@@ -3,14 +3,13 @@
 Exit codes: 0 success, 1 a verification suite failed, 2 bad usage (a
 cap below 1 included), an invalid spec or a --json/--csv/--dot path that
 cannot be written, 3 an order or subgroup cap was exceeded.  One map in
-main gives the code of each error a command raises.
-Environment variables LATCOVER_MAX_ORDER, LATCOVER_MAX_SUBGROUPS,
-LATCOVER_POSET and LATCOVER_ALL_WITNESSES override the matching option
-defaults.  Stdout is for humans; machine-readable output goes to
---json/--csv paths only.  Each JSON payload takes its keys, in order,
-from the field names of one dataclass: AnalysisReport, CaseResult and
-ScanRow, whose field names are SCAN_KEYS.  The scan CSV and stdout
-table share one list of cells per row.
+main gives the code of each error a command raises.  Options are set by
+their flags alone; nothing is read from the environment.  Stdout is for
+humans; machine-readable output goes to --json/--csv paths only.  Each
+JSON payload takes its keys, in order, from the field names of one
+dataclass: AnalysisReport, CaseResult and ScanRow, whose field names are
+SCAN_KEYS.  The scan CSV and stdout table share one list of cells per
+row.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 import time
 from dataclasses import asdict, dataclass, replace
@@ -261,48 +259,6 @@ def _cap(raw: str) -> int:
     return value
 
 
-def _flag(raw: str) -> bool:
-    value = raw.lower()
-    if value in ("0", "false", "no", "off"):
-        return False
-    if value in ("1", "true", "yes", "on"):
-        return True
-    raise argparse.ArgumentTypeError(f"must be a boolean-ish value, got {value!r}")
-
-
-def _poset(raw: str) -> str:
-    if raw not in KINDS:
-        raise argparse.ArgumentTypeError(f"must be one of {', '.join(KINDS)}, got {raw!r}")
-    return raw
-
-
-# the variable that overrides each option's default, its parser and the value
-# it gives when unset or blank, in the order they are checked; a command reads
-# only the variables of the options it has
-_ENV_DEFAULTS = (
-    ("max_order", "LATCOVER_MAX_ORDER", _cap, DEFAULT_MAX_ORDER),
-    ("max_subgroups", "LATCOVER_MAX_SUBGROUPS", _cap, DEFAULT_MAX_SUBGROUPS),
-    ("poset", "LATCOVER_POSET", _poset, "Lbar"),
-    ("all_witnesses", "LATCOVER_ALL_WITNESSES", _flag, False),
-)
-
-
-def _parse_args(argv: list[str] | None) -> argparse.Namespace:
-    """The command line, with an unset option taking its default from the environment."""
-    args = _build_parser().parse_args(argv)
-    for dest, name, parse, default in _ENV_DEFAULTS:
-        if not hasattr(args, dest):
-            continue
-        raw = os.environ.get(name, "").strip()
-        try:
-            value = parse(raw) if raw else default  # checked even when the option is given
-        except argparse.ArgumentTypeError as exc:
-            raise ValueError(f"{name}: {exc}") from None
-        if getattr(args, dest) is None:
-            setattr(args, dest, value)
-    return args
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="latcover",
@@ -314,15 +270,10 @@ def _build_parser() -> argparse.ArgumentParser:
     pa.add_argument("spec", help="group spec, e.g. Q16, D8, M3^3, ZM(7,3,2), C2xC2xS3")
     pa.add_argument("--json", metavar="PATH", help="write the full report as JSON")
     pa.add_argument("--dot", metavar="PATH", help="write a Hasse diagram in DOT form")
-    pa.add_argument("--poset", type=_poset, metavar=f"{{{','.join(KINDS)}}}", help="which view --dot draws")
-    pa.add_argument(
-        "--all-witnesses",
-        action="store_true",
-        default=None,
-        help="also report how many covering pairs there are",
-    )
-    pa.add_argument("--max-order", type=_cap)
-    pa.add_argument("--max-subgroups", type=_cap)
+    pa.add_argument("--poset", choices=KINDS, default="Lbar", help="which view --dot draws")
+    pa.add_argument("--all-witnesses", action="store_true", help="also report how many covering pairs there are")
+    pa.add_argument("--max-order", type=_cap, default=DEFAULT_MAX_ORDER)
+    pa.add_argument("--max-subgroups", type=_cap, default=DEFAULT_MAX_SUBGROUPS)
     pa.set_defaults(func=cmd_analyze)
 
     pv = sub.add_parser("verify", help="run verification suites")
@@ -336,8 +287,8 @@ def _build_parser() -> argparse.ArgumentParser:
     pv.set_defaults(func=cmd_verify)
 
     ps = sub.add_parser("scan", help="sweep group families for class membership")
-    ps.add_argument("--max-order", type=_cap)
-    ps.add_argument("--max-subgroups", type=_cap)
+    ps.add_argument("--max-order", type=_cap, default=DEFAULT_MAX_ORDER)
+    ps.add_argument("--max-subgroups", type=_cap, default=DEFAULT_MAX_SUBGROUPS)
     ps.add_argument(
         "--families",
         metavar="LIST",
@@ -361,7 +312,7 @@ _EXIT_CODES = {
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _parse_args(argv)
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except SystemExit as exc:  # from argparse, which has printed its usage message
         return exc.code if isinstance(exc.code, int) else 2

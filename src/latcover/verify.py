@@ -197,11 +197,11 @@ def _cover_case(
     return _case(group, claim, True, cover_holds(view, m, n), witness={"m": view.labels[m], "n": view.labels[n]})
 
 
-def verify_theorem1(catalog: tuple[str, ...] | list[str] = CATALOG) -> SuiteResult:
+def verify_theorem1() -> SuiteResult:
     """Class-poset breaking points exist exactly for cyclic p-groups of
     order at least p^2 and for generalized quaternion groups."""
     cases = []
-    for spec in catalog:
+    for spec in CATALOG:
         a = analyze_spec(spec)
         view = a.posets["Lbar"]
         bps = breaking_points(view)
@@ -238,11 +238,11 @@ def verify_theorem1(catalog: tuple[str, ...] | list[str] = CATALOG) -> SuiteResu
     return SuiteResult("theorem1", cases)
 
 
-def verify_corollary3(catalog: tuple[str, ...] | list[str] = CATALOG) -> SuiteResult:
+def verify_corollary3() -> SuiteResult:
     """Whether breaking points exist does not depend on which of the four
     poset views is asked."""
     cases = []
-    for spec in catalog:
+    for spec in CATALOG:
         a = analyze_spec(spec)
         flags = {kind: bool(breaking_points(a.posets[kind])) for kind in KINDS}
         agree = len(set(flags.values())) == 1

@@ -166,7 +166,7 @@ def test_criterion_7_property_suites_over_catalog():
 
 
 def test_criterion_8_cli_byte_determinism(tmp_path):
-    env = {k: v for k, v in os.environ.items() if not k.startswith("LATCOVER_")}
+    env = dict(os.environ)
     # the child must import the same latcover as this test, installed or not
     src = os.path.dirname(os.path.dirname(latcover.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))

@@ -1,4 +1,4 @@
-"""Command line behavior: output shapes, exit codes, environment overrides."""
+"""Command line behavior: output shapes, exit codes, option defaults."""
 
 import csv
 import functools
@@ -372,20 +372,6 @@ def test_coprime_cyclic_product_is_cyclic(a, b):
         assert poset_dot(analyze_spec(product).posets[kind]) == poset_dot(analyze_spec(cyclic).posets[kind])
 
 
-def test_env_max_order(monkeypatch, capsys):
-    monkeypatch.setenv("LATCOVER_MAX_ORDER", "5")
-    assert main(["analyze", "C6"]) == 3
-    capsys.readouterr()
-    assert main(["analyze", "C4"]) == 0
-    capsys.readouterr()
-
-
-def test_env_bad_int_is_exit_2(monkeypatch, capsys):
-    monkeypatch.setenv("LATCOVER_MAX_ORDER", "abc")
-    assert main(["analyze", "C4"]) == 2
-    assert "error:" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("argv", [["analyze", "C4"], ["scan", "--max-order", "8"]])
 @pytest.mark.parametrize("option", ["--max-order", "--max-subgroups"])
 @pytest.mark.parametrize("value", ["0", "-3"])
@@ -394,59 +380,10 @@ def test_cap_below_one_is_exit_2(argv, option, value, capsys):
     assert f"argument {option}: a cap must be at least 1, got {value}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [["analyze", "C4"], ["scan", "--max-order", "8"]])
-@pytest.mark.parametrize("name", ["LATCOVER_MAX_ORDER", "LATCOVER_MAX_SUBGROUPS"])
-@pytest.mark.parametrize("value", ["0", "-3"])
-def test_env_cap_below_one_is_exit_2(argv, name, value, monkeypatch, capsys):
-    monkeypatch.setenv(name, value)
-    assert main(argv) == 2
-    assert f"error: {name}: a cap must be at least 1, got {value}" in capsys.readouterr().err
-
-
-BAD_ENV = {
-    "LATCOVER_MAX_ORDER": "0",
-    "LATCOVER_MAX_SUBGROUPS": "0",
-    "LATCOVER_POSET": "bad",
-    "LATCOVER_ALL_WITNESSES": "banana",
-}
-
-
-@pytest.mark.parametrize(
-    "argv,names",
-    [
-        (["verify", "theorem9"], list(BAD_ENV)),
-        (["scan", "--max-order", "8"], ["LATCOVER_POSET", "LATCOVER_ALL_WITNESSES"]),
-    ],
-)
-def test_env_override_of_an_option_the_command_lacks_is_not_read(argv, names, monkeypatch, capsys):
-    for name in names:
-        monkeypatch.setenv(name, BAD_ENV[name])
-        assert main(argv) == 0, name
-        assert capsys.readouterr().err == ""
-        monkeypatch.delenv(name)
-
-
-def test_env_poset_choice(monkeypatch, tmp_path, capsys):
-    path = tmp_path / "d.dot"
-    for value in ("L", " L "):
-        monkeypatch.setenv("LATCOVER_POSET", value)
-        assert main(["analyze", "Q8", "--dot", str(path)]) == 0
-        capsys.readouterr()
-        assert 'label="o1"' in path.read_text(), value
-    monkeypatch.setenv("LATCOVER_POSET", "bogus")
-    assert main(["analyze", "Q8"]) == 2
-    assert "LATCOVER_POSET" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("from_env", [False, True])
-def test_bad_poset_is_one_message_from_option_or_env(from_env, monkeypatch, capsys):
-    # --poset and LATCOVER_POSET share one parser, so both reject a view name alike
-    if from_env:
-        monkeypatch.setenv("LATCOVER_POSET", "bogus")
-    assert main(["analyze", "Q8", *([] if from_env else ["--poset", "bogus"])]) == 2
+def test_bad_poset_is_an_invalid_choice(capsys):
+    assert main(["analyze", "Q8", "--poset", "bogus"]) == 2
     err = capsys.readouterr().err
-    assert err.splitlines()[-1].endswith("must be one of L, Lbar, C, Cbar, got 'bogus'")
-    assert ("error: LATCOVER_POSET: " in err) == from_env
+    assert "argument --poset" in err and "invalid choice" in err and "'bogus'" in err
 
 
 def test_poset_help_lists_the_views(capsys):
@@ -454,23 +391,12 @@ def test_poset_help_lists_the_views(capsys):
     assert "--poset {L,Lbar,C,Cbar}" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("name", list(BAD_ENV))
-@pytest.mark.parametrize("value", ["", "  "])
-def test_env_blank_value_is_unset(name, value, monkeypatch, tmp_path, capsys):
-    monkeypatch.setenv(name, value)
-    path = tmp_path / "d.dot"
-    assert main(["analyze", "C4", "--dot", str(path)]) == 0
-    assert capsys.readouterr().err == ""
-    assert 'label="o1×1"' in path.read_text()  # the default view, Lbar
-
-
-def test_env_all_witnesses(monkeypatch, capsys):
-    monkeypatch.setenv("LATCOVER_ALL_WITNESSES", "1")
+def test_environment_sets_no_option(monkeypatch, capsys):
+    monkeypatch.setenv("LATCOVER_MAX_ORDER", "5")
+    monkeypatch.setenv("LATCOVER_POSET", "bogus")
     assert main(["analyze", "C6"]) == 0
-    assert "witness pairs: 2" in capsys.readouterr().out
-    monkeypatch.setenv("LATCOVER_ALL_WITNESSES", "banana")
-    assert main(["analyze", "C6"]) == 2
-    capsys.readouterr()
+    assert main(["analyze", "Q8"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_no_arguments_is_exit_2(capsys):
