@@ -114,8 +114,10 @@ def poset_dot(view: PosetView) -> str:
     lines = ["digraph poset {"]
     for i, lab in enumerate(view.labels):
         lines.append(f'  n{i} [label="{lab}"];')
-    for x, y in hasse_edges(view):
-        lines.append(f"  n{x} -> n{y};")
+    for x, ys in enumerate(hasse_edges(view)):
+        if ys:
+            arrow = f"  n{x} -> n"
+            lines.append(arrow + f";\n{arrow}".join(map(str, ys)) + ";")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -17,9 +17,12 @@ read only leq, so no view keeps its transpose.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
-from .groups import GroupTable
+from .groups import GroupTable, primes_of
 from .subgroups import ConjClassPoset, Subgroup, SubgroupLattice
 
 KINDS = ("L", "Lbar", "C", "Cbar")
@@ -185,20 +188,40 @@ def cover_holds(p: PosetView, m: int, n: int) -> bool:
     return all(p.le(x, m) or p.le(n, x) for x in range(p.size))
 
 
-def hasse_edges(p: PosetView) -> list[tuple[int, int]]:
-    """Covering pairs (x, y): x < y with nothing strictly between.
+def hasse_edges(p: PosetView) -> list[list[int]]:
+    """The covers of each node, ascending: y covers x when x < y with nothing strictly between.
 
-    The least node strictly above x is a cover of x, as anything between
-    would come before it.  Dropping everything above that cover leaves
-    the least remaining node as the next cover, so each step emits one
-    edge.  Edges come sorted, by x and then by y.
+    A node above x whose order is a prime times |x| covers x, as by
+    Lagrange no order lies strictly between.  Each order is one
+    contiguous range of nodes, so those covers are the bits of leq[x] in
+    the ranges of the orders p*|x|.  Any other cover lies above none of
+    them.  Among the nodes above x that are left, the least is a cover,
+    as anything between would come before it; dropping everything above
+    it leaves the next, at one step per cover.  Nothing is left in the
+    C and Cbar views, nor in any view of a nilpotent group, where every
+    cover has prime index.
     """
-    leq = p.leq
-    edges = []
-    for x in range(p.size):
-        rem = leq[x] & ~(1 << x)
-        while rem:
-            y = (rem & -rem).bit_length() - 1
-            edges.append((x, y))
-            rem &= ~leq[y]
-    return edges
+    leq, orders = p.leq, p.orders
+    # the nodes of each order, as (first node, a bit per node)
+    span = {o: (lo := bisect_left(orders, o), (1 << bisect_right(orders, o) - lo) - 1) for o in sorted(set(orders))}
+    # for each order o, the spans of the orders p*o, highest first
+    up = {o: [span[q] for q in reversed(span) if q % o == 0 and primes_of(q // o) == [q // o]] for o in span}
+    covers = []
+    for x, row in enumerate(leq):
+        ys = []
+        for lo, bits in up[orders[x]]:
+            level = row >> lo & bits
+            while level:  # highest first, so ys comes out descending
+                y = level.bit_length() - 1
+                ys.append(lo + y)
+                level ^= 1 << y
+        ys.reverse()
+        rest = row & ~reduce(or_, map(leq.__getitem__, ys), 1 << x)
+        if rest:
+            while rest:
+                y = (rest & -rest).bit_length() - 1
+                ys.append(y)
+                rest &= ~leq[y]
+            ys.sort()
+        covers.append(ys)
+    return covers

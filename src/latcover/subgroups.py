@@ -20,11 +20,12 @@ continues from the subgroups found: it goes over every representative
 again, the first sweep's included, and tries every zuppo, skipping a
 zuppo in a double coset H*a*H of a zuppo a tried on the same H.  Both
 sweeps skip a zuppo when a subgroup found before contains H and the
-zuppo with prime index over H, since by Lagrange it is the extension;
-with that skip, an elementary abelian group builds each nontrivial
-subgroup once.  Conjugation orbits are collected under a small
-generating set of the group rather than all of it, and numbered by
-their least member in the listing.
+zuppo with prime index over H, since by Lagrange it is the extension:
+each base starts with every such subgroup counted as tried, and takes
+in each one found while it is the base.  With that skip, an elementary
+abelian group builds each nontrivial subgroup once.  Conjugation
+orbits are collected under a small generating set of the group rather
+than all of it, and numbered by their least member in the listing.
 
 conjugacy_classes reads the orbit numbers as a plain partition of the
 listing; the order on classes is derived with every other view's order
@@ -180,6 +181,9 @@ def _search(g: GroupTable, max_subgroups: int) -> tuple[dict[int, tuple[list[int
     g, a second sweep goes over every representative again, the first
     sweep's included, and tries every zuppo, with the double-coset skip.
     Every extension is Dimino's closure with the whole-group bound.
+    Each base starts from the found subgroups over it of prime index,
+    and walks its untried zuppos in ascending order, each the lowest set
+    bit of what is left.
     """
     n = g.order
     full = (1 << n) - 1
@@ -187,8 +191,10 @@ def _search(g: GroupTable, max_subgroups: int) -> tuple[dict[int, tuple[list[int
     inv = g.inv
     zuppos = _zuppos(g)
     is_zuppo = [False] * n
+    zuppo_mask = 0
     for z in zuppos:
         is_zuppo[z] = True
+        zuppo_mask |= 1 << z
 
     # conjugation tables of the group's generators but the central ones, which act trivially
     gens = g.generators
@@ -216,6 +222,8 @@ def _search(g: GroupTable, max_subgroups: int) -> tuple[dict[int, tuple[list[int
     masks: list[int] = []
     holds = [0] * n
     of_order: dict[int, int] = {}
+    # |H| -> (the orders p*|H| for the primes p of |G:H|, _extend's limit)
+    levels: dict[int, tuple[set[int], int]] = {}
 
     def add(elems: list[int], mask: int, k: int) -> None:
         bit = 1 << len(masks)
@@ -237,24 +245,23 @@ def _search(g: GroupTable, max_subgroups: int) -> tuple[dict[int, tuple[list[int
             if order == n or normal and conjugates * order == n:
                 continue
             check_normalizes = conjugates > 1
-            primes = primes_of(n // order)
-            limit = n // primes[0]
+            if order not in levels:
+                primes = primes_of(n // order)
+                levels[order] = ({p * order for p in primes}, n // primes[0])
+            steps, limit = levels[order]
+            # every found K > H of prime index counts as tried: any element of K outside H gives
+            # <H, a> = K, since H < <H, a> <= K
             tried = base_mask  # a union of right cosets H*t
-            # found subgroups that contain H with prime index, as of len(masks) == seen
-            over, seen = 0, -1
-            for a in zuppos:
-                if tried >> a & 1:
-                    continue
-                if seen != len(masks):
-                    seen = len(masks)
-                    above = reduce(or_, [of_order.get(p * order, 0) for p in primes])
-                    over = reduce(and_, [holds[x] for x in base_gens], above)
-                # a found K holds H and a with |K:H| prime, so H < <H, a> <= K gives <H, a> = K;
-                # there is at most one such K, and every element of K outside H gives it too
-                known = holds[a] & over
-                if known:
-                    tried |= masks[known.bit_length() - 1]
-                    continue
+            over = reduce(and_, [holds[x] for x in base_gens], reduce(or_, [of_order.get(s, 0) for s in steps]))
+            while over:
+                d = over.bit_length() - 1
+                tried |= masks[d]
+                over ^= 1 << d
+            after = zuppo_mask  # the zuppos after the last one tried
+            while todo := after & ~tried:
+                low = todo & -todo
+                a = low.bit_length() - 1
+                after = todo ^ low
                 if normal:
                     # a normalizes H when it conjugates H's generators into H
                     if check_normalizes:
@@ -275,14 +282,15 @@ def _search(g: GroupTable, max_subgroups: int) -> tuple[dict[int, tuple[list[int
                             for h in base:
                                 tried |= 1 << mul[h][t]
                 elems, mask = _extend(g, base, base_mask, base_gens, a, limit)
-                if normal:
-                    # <H, a> is the p cosets H*a^i, of prime index over H, so the Lagrange
-                    # test above proves it new, and every element of it outside H gives it too
-                    tried |= mask
-                elif mask in found:
+                if mask in found:  # only in the second sweep: a first-sweep step has prime index
                     continue
                 k = len(reps)
                 add(elems, mask, k)
+                # a new subgroup that holds H with prime index is tried on H as the found ones are:
+                # <H, a> itself, or a conjugate of it that holds H
+                over_base = len(elems) in steps
+                if over_base:
+                    tried |= mask
                 # breadth-first over the orbit, one generator's conjugation at a time
                 orbit = [elems]
                 for cur in orbit:
@@ -292,6 +300,8 @@ def _search(g: GroupTable, max_subgroups: int) -> tuple[dict[int, tuple[list[int
                             c = list(map(t.__getitem__, cur))
                             add(c, m, k)
                             orbit.append(c)
+                            if over_base and m & base_mask == base_mask:
+                                tried |= m
                 reps.append((elems, mask, [*base_gens, a], len(orbit)))
         if full in found:
             break
@@ -328,9 +338,12 @@ def enumerate_subgroups(g: GroupTable, max_subgroups: int = DEFAULT_MAX_SUBGROUP
 
     In both sweeps, when a subgroup K found before contains H and a,
     and |K:H| is prime, then H < <H, a> <= K forces <H, a> = K, so
-    nothing is built and all of K counts as tried on H.  Bitrows over
-    the found subgroups, one per zuppo and one per order, find such a
-    K with a few big-integer ANDs.  In the first sweep, a zuppo that
+    nothing is built and all of K counts as tried on H.  So each base
+    starts with every such K tried: bitrows over the found subgroups,
+    one per zuppo and one per order, name them all with one AND per
+    generator of H, once per base and not once per zuppo.  A subgroup
+    found while H is the base is taken in when it holds H with prime
+    index, a test on its mask alone.  In the first sweep, a zuppo that
     passes the tests and this one gives a new subgroup.
 
     The cap counts every subgroup found, so it trips exactly when g has

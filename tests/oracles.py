@@ -474,6 +474,30 @@ def brute_cover_pairs(view: PosetView) -> list[tuple[int, int]]:
     return pairs
 
 
+def loop_hasse_edges(view: PosetView) -> list[tuple[int, int]]:
+    """Covering pairs (x, y), sorted, by one loop that takes no order into account.
+
+    The least node strictly above x is a cover of x, as anything between
+    would come before it.  Dropping everything above that cover leaves
+    the least remaining node as the next cover, so each step emits one
+    edge.
+    """
+    leq = view.leq
+    edges = []
+    for x in range(view.size):
+        rem = leq[x] & ~(1 << x)
+        while rem:
+            y = (rem & -rem).bit_length() - 1
+            edges.append((x, y))
+            rem &= ~leq[y]
+    return edges
+
+
+def edge_list(covers: list[list[int]]) -> list[tuple[int, int]]:
+    """hasse_edges's per-node cover lists as (x, y) pairs, sorted by x and then y."""
+    return [(x, y) for x, ys in enumerate(covers) for y in ys]
+
+
 def brute_hasse(view: PosetView) -> list[tuple[int, int]]:
     def lt(a: int, b: int) -> bool:
         return a != b and view.le(a, b)

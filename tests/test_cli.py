@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import latcover
+import oracles
 from latcover.cli import (
     SCAN_HEADER,
     AnalysisReport,
@@ -349,6 +350,22 @@ def test_poset_dot_shape():
     assert text.splitlines()[0] == "digraph poset {"
     assert text.endswith("}\n")
     assert "n0 -> n1;" in text
+
+
+def _dot_from_edges(view, edges):
+    """The DOT text of a view written one covering pair (x, y) at a time."""
+    lines = ["digraph poset {", *(f'  n{i} [label="{lab}"];' for i, lab in enumerate(view.labels))]
+    lines += [f"  n{x} -> n{y};" for x, y in edges]
+    return "\n".join([*lines, "}"]) + "\n"
+
+
+# the benchmark's lattices groups as it draws them, and a diagram with covers of composite index
+@pytest.mark.parametrize(
+    "spec,kind", [("C2xC2xC2xC2xC2xC2", "Lbar"), ("C2xC2xC2xD8", "Lbar"), ("S4xC2xC2", "Lbar"), ("A6", "L")]
+)
+def test_poset_dot_matches_the_reference_edges(spec, kind):
+    view = analyze_spec(spec).posets[kind]
+    assert poset_dot(view) == _dot_from_edges(view, oracles.loop_hasse_edges(view))
 
 
 # the 222 ordered pairs a, b >= 2 with gcd(a, b) = 1 and ab <= 128

@@ -147,7 +147,10 @@ def _answers(g):
         len(lat.subs),
         len(ccp.classes),
         build_profile(lat),
-        {kind: (v.size, [v.labels[x] for x in breaking_points(v)], len(hasse_edges(v))) for kind, v in views.items()},
+        {
+            kind: (v.size, [v.labels[x] for x in breaking_points(v)], len(oracles.edge_list(hasse_edges(v))))
+            for kind, v in views.items()
+        },
         len(w.all_pairs) if w else 0,
     )
 

@@ -273,6 +273,16 @@ def test_subgroup_cap(cap, raises):
         assert len(enumerate_subgroups(g, max_subgroups=cap).subs) == 19
 
 
+# the benchmark's lattice-heavy groups: subgroups that a base's tried set takes in
+# from the start are still counted as the search finds them
+@pytest.mark.parametrize("spec,subs", [("C2xC2xC2xD8", 937), ("S4xC2xC2", 420)])
+def test_subgroup_cap_trips_one_below_the_count(spec, subs):
+    g = build_group(spec)
+    with pytest.raises(SubgroupCapExceeded, match=f"^more than {subs - 1} subgroups in group of order {g.order}$"):
+        enumerate_subgroups(g, max_subgroups=subs - 1)
+    assert len(enumerate_subgroups(g, max_subgroups=subs).subs) == subs
+
+
 @pytest.mark.parametrize("spec", ["C1", "D16"])
 @pytest.mark.parametrize("cap", [0, -3])
 def test_subgroup_cap_below_one_counts_trivial_subgroup(spec, cap):
