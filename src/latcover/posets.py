@@ -53,15 +53,17 @@ class PosetView:
 
 
 def build_poset(lat: SubgroupLattice, ccp: ConjClassPoset, kind: str) -> PosetView:
-    """One view of the lattice; the only place a view's leq is derived from lat.subset.
+    """One view of the lattice; the only place a view's leq is derived from the containment rows.
 
     A node is a subgroup (L, C) or a class (Lbar, Cbar), and C and Cbar
     keep only the cyclic ones.  Node x lies below node y when some
-    member of y contains the representative of x: the bits of
-    lat.subset[rep(x)] that fall on kept subgroups, each mapped to its
-    node.  Node 0 is the trivial subgroup, the bottom; since the node
-    order is a linear extension, the whole group is the last node, the
-    top, when it is kept.
+    member of y contains the representative of x: the bits of the
+    containment row of rep(x) that fall on kept subgroups, each mapped
+    to its node.  L and C read lat.subset, which builds every row;
+    Lbar and Cbar ask lat.rows for their representatives' rows alone.
+    Node 0 is the trivial subgroup, the bottom; since the node order is
+    a linear extension, the whole group is the last node, the top, when
+    it is kept.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown poset kind {kind!r}, expected one of {KINDS}")
@@ -71,9 +73,13 @@ def build_poset(lat: SubgroupLattice, ccp: ConjClassPoset, kind: str) -> PosetVi
         keep = [i for i, r in enumerate(reps) if lat.cyclic[r]]
     else:
         keep = list(range(len(reps)))
+    if by_class:
+        rows = lat.rows([reps[i] for i in keep])
+    else:
+        rows = list(map(lat.subset.__getitem__, keep))
     if len(keep) == len(lat.subs):
         # every node is one subgroup and none is dropped: node i is subgroup i
-        leq = list(lat.subset)
+        leq = rows
     else:
         node = [0] * len(lat.subs)
         inside = 0  # a bit for every subgroup that belongs to a kept node
@@ -82,9 +88,9 @@ def build_poset(lat: SubgroupLattice, ccp: ConjClassPoset, kind: str) -> PosetVi
                 node[j] = x
                 inside |= 1 << j
         leq = []
-        for i in keep:
+        for above in rows:
             row = 0
-            above = lat.subset[reps[i]] & inside
+            above &= inside
             while above:
                 j = (above & -above).bit_length() - 1
                 row |= 1 << node[j]

@@ -124,18 +124,21 @@ class SubgroupLattice:
     """All subgroups of a group, ordered by inclusion.
 
     subs lists them by order, then elements, so subs[0] is the trivial
-    subgroup and the whole group is the last.  subset is a bitrow per
-    subgroup: bit j of subset[i] means subs[i] is contained in subs[j].
-    orbit[i] is the class number of subs[i]: orbits are numbered by
-    their least member, so class numbers come from the listing, not
-    from the order in which the search found them.  solvable tells
-    whether the group is solvable, which the search's prime-index sweep
-    finds out on the way.
+    subgroup and the whole group is the last.  within is a bitrow per
+    element: bit j of within[e] means e is in subs[j].  subset is a
+    bitrow per subgroup, built from within on its first read: bit j of
+    subset[i] means subs[i] is contained in subs[j].  rows gives the
+    rows of a few subgroups without building all of subset.  orbit[i]
+    is the class number of subs[i]: orbits are numbered by their least
+    member, so class numbers come from the listing, not from the order
+    in which the search found them.  solvable tells whether the group
+    is solvable, which the search's prime-index sweep finds out on the
+    way.
     """
 
     group: GroupTable
     subs: list[Subgroup]
-    subset: list[int]
+    within: list[int]
     orbit: list[int]
     solvable: bool
     _index: dict[int, int] = field(repr=False, default_factory=dict)
@@ -158,6 +161,17 @@ class SubgroupLattice:
         """Indices of the subgroups of order k, a range since the listing is sorted by order."""
         order = attrgetter("order")
         return range(bisect_left(self.subs, k, key=order), bisect_right(self.subs, k, key=order))
+
+    @cached_property
+    def subset(self) -> list[int]:
+        return self.rows(range(len(self.subs)))
+
+    def rows(self, indices: range | list[int]) -> list[int]:
+        """The containment rows of the subgroups at indices, taken from subset once it is built."""
+        if "subset" in self.__dict__:
+            return list(map(self.subset.__getitem__, indices))
+        within, subs = self.within, self.subs
+        return [reduce(and_, [within[e] for e in subs[i].elems]) for i in indices]
 
     @cached_property
     def cyclic(self) -> list[bool]:
@@ -366,11 +380,10 @@ def enumerate_subgroups(g: GroupTable, max_subgroups: int = DEFAULT_MAX_SUBGROUP
         bit = 1 << j
         for e in s.elems:
             within[e] |= bit
-    subset = [reduce(and_, [within[e] for e in s.elems]) for s in subs]
     return SubgroupLattice(
         group=g,
         subs=subs,
-        subset=subset,
+        within=within,
         orbit=[rank[k] for *_, k in ordered],
         solvable=solvable,
         _index={mask: i for i, (_, _, mask, _) in enumerate(ordered)},

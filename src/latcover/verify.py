@@ -8,12 +8,13 @@ the command-line interface and stay fixed even if cases are added.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from collections.abc import Iterator, Mapping
+from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
 from typing import Any, Callable
 
 from .errors import SubgroupCapExceeded
-from .groups import DEFAULT_MAX_ORDER, FAMILIES, GroupSpec, GroupTable, build_group
+from .groups import DEFAULT_MAX_ORDER, FAMILIES, ZM, Dicyclic, Dihedral, GroupSpec, GroupTable, build_group
 from .posets import (
     KINDS,
     PosetView,
@@ -102,14 +103,42 @@ CATALOG = (
 )
 
 
+class _Views(Mapping[str, PosetView]):
+    """The four poset views of a lattice, in KINDS order, each built on its first read."""
+
+    def __init__(self, lat: SubgroupLattice, ccp: ConjClassPoset) -> None:
+        self._lat, self._ccp = lat, ccp
+        self._built: dict[str, PosetView] = {}
+
+    def __getitem__(self, kind: str) -> PosetView:
+        view = self._built.get(kind)
+        if view is None:
+            if kind not in KINDS:
+                raise KeyError(kind)
+            view = self._built[kind] = build_poset(self._lat, self._ccp, kind)
+        return view
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(KINDS)
+
+    def __len__(self) -> int:
+        return len(KINDS)
+
+
 @dataclass
 class Analysis:
-    """Everything derived from one group spec, built once and shared; group.spec is the spec, canonical."""
+    """Everything derived from one group spec, built once and shared; group.spec is the spec, canonical.
+
+    posets maps each of the four KINDS to its view, read-only, and
+    builds a view on its first read: a caller that reads only Lbar
+    builds neither the other views nor the lattice's full containment
+    rows.
+    """
 
     group: GroupTable
     lattice: SubgroupLattice
     classes: ConjClassPoset
-    posets: dict[str, PosetView]
+    posets: Mapping[str, PosetView]
     profile: StructureProfile
 
     def class_rep(self, node: int) -> Subgroup:
@@ -121,8 +150,7 @@ def _analyze(spec: str, max_order: int, max_subgroups: int) -> Analysis:
     g = build_group(spec, max_order)
     lat = enumerate_subgroups(g, max_subgroups)
     ccp = conjugacy_classes(lat)
-    posets = {kind: build_poset(lat, ccp, kind) for kind in KINDS}
-    return Analysis(g, lat, ccp, posets, build_profile(lat))
+    return Analysis(g, lat, ccp, _Views(lat, ccp), build_profile(lat))
 
 
 @lru_cache(maxsize=128)
@@ -447,6 +475,59 @@ class ScanRow:
 SCAN_KEYS = tuple(f.name for f in fields(ScanRow))
 
 
+def _iso_key(spec: GroupSpec) -> GroupSpec:
+    """One spec per isomorphism class that the scan families are known to repeat.
+
+    ZM(m,n,r) is isomorphic to ZM(m,n,r^k) for every k coprime to n, by
+    b -> b^k, so each goes to the one with the least such r^k mod m; for
+    odd m >= 3, D(2m) is ZM(m,2,m-1) and Dic(m) is ZM(m,4,m-1).  Any
+    other spec is its own key.
+    """
+    if isinstance(spec, ZM):
+        m, n, r = spec.m, spec.n, spec.r
+        return ZM(m, n, min(pow(r, k, m) for k in range(1, n + 1) if math.gcd(k, n) == 1))
+    if isinstance(spec, Dihedral) and spec.order % 4 == 2:
+        return ZM(spec.order // 2, 2, spec.order // 2 - 1)
+    if isinstance(spec, Dicyclic) and spec.m % 2 == 1:
+        return ZM(spec.m, 4, spec.m - 1)
+    return spec
+
+
+def _scan_row(spec: str, order: int, max_order: int, max_subgroups: int) -> ScanRow:
+    """The row of one group, a spec of the given expected order.
+
+    L and C are not built: a breaking point of L is normal, so those of
+    L are the Lbar breaking points whose class has one member, and the
+    same holds for C and Cbar.
+    """
+    try:
+        a = _analyze(spec, max_order, max_subgroups)
+    except SubgroupCapExceeded:
+        return ScanRow(spec=spec, order=order, skipped="subgroup-cap")
+    classes = a.classes.classes
+    bp = {}
+    for kind in ("Lbar", "Cbar"):
+        view = a.posets[kind]
+        bp[kind] = [len(classes[view.payload[x]]) for x in breaking_points(view)]
+    w = two_interval_cover(a.posets["Lbar"])
+    return ScanRow(
+        spec=a.group.spec,
+        order=a.group.order,
+        n_subgroups=len(a.lattice.subs),
+        n_classes=len(classes),
+        bp_L=1 in bp["Lbar"],
+        bp_Lbar=bool(bp["Lbar"]),
+        bp_C=1 in bp["Cbar"],
+        bp_Cbar=bool(bp["Cbar"]),
+        in_C=w is not None,
+        witnesses=len(w.all_pairs) if w is not None else 0,
+        is_abelian=a.profile.is_abelian,
+        is_cyclic=a.profile.is_cyclic,
+        is_nilpotent=a.profile.is_nilpotent,
+        is_solvable=a.profile.is_solvable,
+    )
+
+
 def scan_class_c(
     max_order: int = DEFAULT_MAX_ORDER,
     families: tuple[str, ...] | list[str] | None = None,
@@ -456,36 +537,24 @@ def scan_class_c(
 
     Rows come out in family order, ascending within each family.  A row
     whose subgroup enumeration trips the cap is kept but marked skipped.
-    Analyses are not cached; a long sweep holds one group at a time.
+    Each isomorphism class that _iso_key names is analyzed once per
+    call, at its first spec: a later spec's row is that row with its
+    own spec, skipped or not, so a row does not depend on which
+    families share the call.  Analyses are not cached; a long sweep
+    holds one group at a time.
     """
     # a family named twice is scanned once, where it is first named
     fams = FAMILY_NAMES if families is None else dict.fromkeys(families)
     specs = [spec for fam in fams for spec in _family(fam).members(max_order)]
+    first: dict[GroupSpec, ScanRow] = {}
     rows = []
     for spec in specs:
-        try:
-            a = _analyze(spec.canonical(), max_order, max_subgroups)
-        except SubgroupCapExceeded:
-            rows.append(ScanRow(spec=spec.canonical(), order=spec.expected_order(), skipped="subgroup-cap"))
-            continue
-        view = a.posets["Lbar"]
-        w = two_interval_cover(view)
-        rows.append(
-            ScanRow(
-                spec=a.group.spec,
-                order=a.group.order,
-                n_subgroups=len(a.lattice.subs),
-                n_classes=len(a.classes.classes),
-                bp_L=bool(breaking_points(a.posets["L"])),
-                bp_Lbar=bool(breaking_points(a.posets["Lbar"])),
-                bp_C=bool(breaking_points(a.posets["C"])),
-                bp_Cbar=bool(breaking_points(a.posets["Cbar"])),
-                in_C=w is not None,
-                witnesses=len(w.all_pairs) if w is not None else 0,
-                is_abelian=a.profile.is_abelian,
-                is_cyclic=a.profile.is_cyclic,
-                is_nilpotent=a.profile.is_nilpotent,
-                is_solvable=a.profile.is_solvable,
-            )
-        )
+        name = spec.canonical()
+        key = _iso_key(spec)
+        row = first.get(key)
+        if row is None:
+            row = first[key] = _scan_row(name, spec.expected_order(), max_order, max_subgroups)
+        else:
+            row = replace(row, spec=name)
+        rows.append(row)
     return rows

@@ -17,8 +17,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import reduce
-from operator import and_
 
 import numpy as np
 
@@ -427,13 +425,19 @@ def coset_enumerate_subgroups(g: GroupTable, max_subgroups: int = 100_000) -> Su
     lat = SubgroupLattice(
         group=g,
         subs=subs,
-        subset=[reduce(and_, [within[e] for e in s.elems]) for s in subs],
+        within=within,
         orbit=[k for _, _, k in ordered],
         solvable=False,
         _index={mask: i for i, (_, mask, _) in enumerate(ordered)},
     )
     lat.solvable = hall_complements_is_solvable(lat)
     return lat
+
+
+def containment_rows(subs: list[Subgroup]) -> list[int]:
+    """Bit j of row i when subs[i] lies inside subs[j], by a mask test on every pair."""
+    masks = [s.mask for s in subs]
+    return [sum(1 << j for j, b in enumerate(masks) if a & b == a) for a in masks]
 
 
 def orbits_by_least_member(orbit: list[int]) -> list[int]:

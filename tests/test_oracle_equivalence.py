@@ -80,7 +80,8 @@ def _assert_same_lattice(spec):
     g = build_group(spec)
     fast, slow = enumerate_subgroups(g), oracles.coset_enumerate_subgroups(g)
     assert fast.subs == slow.subs, spec
-    assert fast.subset == slow.subset, spec
+    assert fast.within == slow.within, spec
+    assert fast.subset == oracles.containment_rows(slow.subs), spec
     assert fast.orbit == oracles.orbits_by_least_member(slow.orbit), spec
     assert fast._index == slow._index, spec
 

@@ -226,6 +226,19 @@ def test_subset_bitrows_match_containment(spec):
             assert bool(lat.subset[i] >> j & 1) == sa.issubset(b.elems)
 
 
+@pytest.mark.parametrize("spec", ["C1", "C12", "S4", "A5", "SD16", "C2xC2xC2xD8", "S4xC2xC2"])
+def test_class_views_read_representative_rows_and_subset_is_built_on_first_read(spec):
+    lat = enumerate_subgroups(build_group(spec))
+    ccp = conjugacy_classes(lat)
+    lazy = {kind: build_poset(lat, ccp, kind) for kind in ("Lbar", "Cbar")}
+    assert "subset" not in lat.__dict__
+    assert lat.subset == oracles.containment_rows(lat.subs)
+    assert lat.rows(ccp.rep) == [lat.subset[r] for r in ccp.rep]
+    # with every row built, the class views come out the same
+    for kind, view in lazy.items():
+        assert build_poset(lat, ccp, kind) == view, kind
+
+
 @pytest.mark.parametrize("spec", ["C1", "S4", "Q16", "C2xC2xC2xD8", "C12"])
 def test_of_order_is_the_order_filter(spec):
     lat = analyze_spec(spec).lattice

@@ -2,10 +2,14 @@
 
 import hashlib
 import math
+from dataclasses import replace
 
 import pytest
 
-from latcover.groups import ZM, primes_of
+from latcover import verify
+from latcover.groups import DEFAULT_MAX_ORDER, ZM, primes_of
+from latcover.posets import KINDS, breaking_points, two_interval_cover
+from latcover.subgroups import DEFAULT_MAX_SUBGROUPS
 from latcover.verify import (
     CATALOG,
     FAMILY_NAMES,
@@ -14,6 +18,7 @@ from latcover.verify import (
     THEOREM1_BREAKING,
     THEOREM1_NONBREAKING,
     CaseResult,
+    ScanRow,
     SuiteResult,
     analyze_spec,
     in_class_c,
@@ -260,6 +265,95 @@ def test_scan128_isomorphic_specs_give_the_same_row(scan128):
     dicyclic = [(f"Dic{m}", f"ZM({m},4,{m - 1})") for m in range(3, 33, 2)]
     for a, b in pairs + dihedral + dicyclic:
         assert rows[a] == rows[b], (a, b)
+
+
+def _row_of_every_view(spec):
+    """The scan row of spec read off all four views of its own analysis, with no row shared."""
+    a = verify._analyze(spec, DEFAULT_MAX_ORDER, DEFAULT_MAX_SUBGROUPS)
+    bp = {kind: bool(breaking_points(a.posets[kind])) for kind in KINDS}
+    w = two_interval_cover(a.posets["Lbar"])
+    pr = a.profile
+    return ScanRow(
+        spec=spec,
+        order=a.group.order,
+        n_subgroups=len(a.lattice.subs),
+        n_classes=len(a.classes.classes),
+        **{f"bp_{kind}": bp[kind] for kind in KINDS},
+        in_C=w is not None,
+        witnesses=len(w.all_pairs) if w else 0,
+        is_abelian=pr.is_abelian,
+        is_cyclic=pr.is_cyclic,
+        is_nilpotent=pr.is_nilpotent,
+        is_solvable=pr.is_solvable,
+    )
+
+
+def test_scan128_analyzes_each_isomorphism_class_once_and_copies_exact_rows(scan128, monkeypatch):
+    analyzed = []
+    real = verify._analyze
+
+    def counting(spec, *caps):
+        analyzed.append(spec)
+        return real(spec, *caps)
+
+    monkeypatch.setattr(verify, "_analyze", counting)
+    assert scan_class_c(128) == scan128
+    copied = [r for r in scan128 if r.spec not in set(analyzed)]
+    assert (len(analyzed), len(copied)) == (307, 85)
+    assert len(set(analyzed)) == len(analyzed)
+    monkeypatch.undo()
+    # every row, copied or not, is what all four views of its own spec say
+    for r in scan128:
+        assert r == _row_of_every_view(r.spec), r.spec
+
+
+def test_scan_rows_do_not_depend_on_the_families_sharing_the_call(scan128):
+    # the dihedral and dicyclic rows come first in a full scan, so ZM(m,2,m-1) and ZM(m,4,m-1) copy theirs
+    zm = [r for r in scan128 if r.spec.startswith("ZM(")]
+    assert scan_class_c(128, ("zm",)) == zm
+
+
+def test_scan_copies_a_capped_row_to_its_isomorphic_specs():
+    rows = scan_class_c(24, ("dihedral", "zm"), max_subgroups=10)
+    by = {r.spec: r for r in rows}
+    assert by["D18"].skipped == "subgroup-cap" and by["D14"].skipped is None
+    for m in (3, 5, 7, 9):
+        zm = f"ZM({m},2,{m - 1})"
+        assert by[zm] == replace(by[f"D{2 * m}"], spec=zm)
+    # alone, the zm family analyzes ZM(9,2,8) itself and trips the cap the same way
+    assert [r for r in rows if r.spec.startswith("ZM(")] == scan_class_c(24, ("zm",), max_subgroups=10)
+
+
+def test_scan_row_builds_only_the_class_views_and_no_full_containment_rows(monkeypatch):
+    built, lattices = [], []
+    real_build, real_analyze = verify.build_poset, verify._analyze
+
+    def spy_build(lat, ccp, kind):
+        built.append(kind)
+        return real_build(lat, ccp, kind)
+
+    def spy_analyze(*args):
+        a = real_analyze(*args)
+        lattices.append(a.lattice)
+        return a
+
+    monkeypatch.setattr(verify, "build_poset", spy_build)
+    monkeypatch.setattr(verify, "_analyze", spy_analyze)
+    rows = scan_class_c(24)
+    assert {r.is_abelian for r in rows} == {False, True}
+    assert built == ["Lbar", "Cbar"] * len(lattices)
+    assert not any("subset" in lat.__dict__ for lat in lattices)
+
+
+def test_analysis_posets_is_a_read_only_mapping_of_every_kind():
+    a = verify._analyze("S4", DEFAULT_MAX_ORDER, DEFAULT_MAX_SUBGROUPS)
+    assert list(a.posets) == list(KINDS) and len(a.posets) == 4
+    assert [view.kind for view in a.posets.values()] == list(KINDS)
+    assert a.posets["L"] is a.posets["L"]
+    with pytest.raises(KeyError):
+        a.posets["Lhat"]
+    with pytest.raises(TypeError):
+        a.posets["L"] = a.posets["C"]
 
 
 def test_scan_counts_match_membership():
