@@ -26,9 +26,10 @@ from typing import Any
 
 from .errors import OrderCapExceeded, SpecInvalid, SubgroupCapExceeded
 from .groups import DEFAULT_MAX_ORDER
-from .posets import KINDS, PosetView, breaking_points, hasse_edges, two_interval_cover
+# breaking_points is not called here, but perfbench/tracing.py patches it in this module by name
+from .posets import KINDS, PosetView, breaking_points, hasse_edges, two_interval_cover  # noqa: F401
 from .subgroups import DEFAULT_MAX_SUBGROUPS
-from .verify import SCAN_KEYS, Analysis, ScanRow, analyze_spec, run_suites, scan_class_c
+from .verify import SCAN_KEYS, Analysis, ScanRow, analyze_spec, run_suites, scan_class_c, view_answers
 
 # the CSV and table columns; a skipped row shows its reason in the last one
 SCAN_HEADER = SCAN_KEYS[:10]
@@ -72,13 +73,8 @@ class AnalysisReport:
 
 
 def build_report(a: Analysis, all_witnesses: bool, elapsed_s: float) -> AnalysisReport:
-    summaries = []
-    for kind in KINDS:
-        view = a.posets[kind]
-        bps = breaking_points(view)
-        summaries.append(PosetSummary(kind, view.size, [view.labels[x] for x in bps]))
-    view = a.posets["Lbar"]
-    w = two_interval_cover(view)
+    summaries = [PosetSummary(kind, size, labels) for kind, (size, labels) in view_answers(a).items()]
+    w = two_interval_cover(a.posets["Lbar"])
     if w is None:
         cc = ClassCReport(False, None, None, 0 if all_witnesses else None)
     else:

@@ -52,6 +52,11 @@ class PosetView:
         return self.leq[i] >> j & 1 == 1
 
 
+def node_label(order: int, members: int | None = None) -> str:
+    """The label of a subgroup node of that order, or of a class node with that many members."""
+    return f"o{order}" if members is None else f"o{order}×{members}"
+
+
 def build_poset(lat: SubgroupLattice, ccp: ConjClassPoset, kind: str) -> PosetView:
     """One view of the lattice; the only place a view's leq is derived from the containment rows.
 
@@ -59,11 +64,11 @@ def build_poset(lat: SubgroupLattice, ccp: ConjClassPoset, kind: str) -> PosetVi
     keep only the cyclic ones.  Node x lies below node y when some
     member of y contains the representative of x: the bits of the
     containment row of rep(x) that fall on kept subgroups, each mapped
-    to its node.  L and C read lat.subset, which builds every row;
-    Lbar and Cbar ask lat.rows for their representatives' rows alone.
-    Node 0 is the trivial subgroup, the bottom; since the node order is
-    a linear extension, the whole group is the last node, the top, when
-    it is kept.
+    to its node.  Every view asks lat.rows for the rows of its kept
+    nodes' representatives alone, so Lbar and Cbar build one row per
+    class and C one per cyclic subgroup.  Node 0 is the trivial
+    subgroup, the bottom; since the node order is a linear extension,
+    the whole group is the last node, the top, when it is kept.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown poset kind {kind!r}, expected one of {KINDS}")
@@ -73,10 +78,7 @@ def build_poset(lat: SubgroupLattice, ccp: ConjClassPoset, kind: str) -> PosetVi
         keep = [i for i, r in enumerate(reps) if lat.cyclic[r]]
     else:
         keep = list(range(len(reps)))
-    if by_class:
-        rows = lat.rows([reps[i] for i in keep])
-    else:
-        rows = list(map(lat.subset.__getitem__, keep))
+    rows = lat.rows([reps[i] for i in keep])
     if len(keep) == len(lat.subs):
         # every node is one subgroup and none is dropped: node i is subgroup i
         leq = rows
@@ -98,9 +100,9 @@ def build_poset(lat: SubgroupLattice, ccp: ConjClassPoset, kind: str) -> PosetVi
             leq.append(row)
     orders = [lat.subs[reps[i]].order for i in keep]
     if by_class:
-        labels = [f"o{o}×{len(ccp.classes[c])}" for o, c in zip(orders, keep)]
+        labels = [node_label(o, len(ccp.classes[c])) for o, c in zip(orders, keep)]
     else:
-        labels = [f"o{o}" for o in orders]
+        labels = list(map(node_label, orders))
     return PosetView(
         kind=kind,
         leq=leq,

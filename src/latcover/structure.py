@@ -75,11 +75,7 @@ def omega1(g: GroupTable, p: int) -> Subgroup:
 
 def maximal_subgroups(lat: SubgroupLattice) -> list[int]:
     full = len(lat.subs) - 1
-    return [
-        i
-        for i in range(len(lat.subs))
-        if i != full and lat.subset[i] == (1 << i) | (1 << full)
-    ]
+    return [i for i, row in enumerate(lat.rows(range(full))) if row == (1 << i) | (1 << full)]
 
 
 def frattini(lat: SubgroupLattice) -> Subgroup:

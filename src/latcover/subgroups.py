@@ -125,10 +125,9 @@ class SubgroupLattice:
 
     subs lists them by order, then elements, so subs[0] is the trivial
     subgroup and the whole group is the last.  within is a bitrow per
-    element: bit j of within[e] means e is in subs[j].  subset is a
-    bitrow per subgroup, built from within on its first read: bit j of
-    subset[i] means subs[i] is contained in subs[j].  rows gives the
-    rows of a few subgroups without building all of subset.  orbit[i]
+    element: bit j of within[e] means e is in subs[j].  rows gives the
+    containment rows of the subgroups asked for, each the AND of its
+    elements' within rows, and keeps none of them.  orbit[i]
     is the class number of subs[i]: orbits are numbered by their least
     member, so class numbers come from the listing, not from the order
     in which the search found them.  solvable tells whether the group
@@ -162,14 +161,8 @@ class SubgroupLattice:
         order = attrgetter("order")
         return range(bisect_left(self.subs, k, key=order), bisect_right(self.subs, k, key=order))
 
-    @cached_property
-    def subset(self) -> list[int]:
-        return self.rows(range(len(self.subs)))
-
     def rows(self, indices: range | list[int]) -> list[int]:
-        """The containment rows of the subgroups at indices, taken from subset once it is built."""
-        if "subset" in self.__dict__:
-            return list(map(self.subset.__getitem__, indices))
+        """The containment rows of the subgroups at indices: bit j of a row means that subgroup lies in subs[j]."""
         within, subs = self.within, self.subs
         return [reduce(and_, [within[e] for e in subs[i].elems]) for i in indices]
 

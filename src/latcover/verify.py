@@ -21,6 +21,7 @@ from .posets import (
     breaking_points,
     build_poset,
     cover_holds,
+    node_label,
     subgroup_is_cyclic,
     two_interval_cover,
 )
@@ -131,8 +132,9 @@ class Analysis:
 
     posets maps each of the four KINDS to its view, read-only, and
     builds a view on its first read: a caller that reads only Lbar
-    builds neither the other views nor the lattice's full containment
-    rows.
+    builds no other view.  view_answers answers for all four views from
+    Lbar and Cbar, so neither analyze nor scan builds L or C unless a
+    diagram of it is asked for.
     """
 
     group: GroupTable
@@ -171,6 +173,26 @@ def analyze_spec(
 def in_class_c(a: Analysis) -> bool:
     """Whether two intervals of the class poset cover it entirely."""
     return two_interval_cover(a.posets["Lbar"]) is not None
+
+
+def view_answers(a: Analysis) -> dict[str, tuple[int, list[str]]]:
+    """Each view's size and breaking-point labels, in KINDS order, read off Lbar and Cbar alone.
+
+    A breaking point of L is comparable with its conjugates, which have
+    its order, so it is normal: the breaking points of L are those of
+    Lbar whose class has one member, and the same holds for C and Cbar.
+    L has a node per member of an Lbar class, len(a.lattice.subs) in
+    all, and C one per member of a Cbar class.
+    """
+    classes = a.classes.classes
+    answers = {}
+    for kind in ("Lbar", "Cbar"):
+        view = a.posets[kind]
+        members = [len(classes[c]) for c in view.payload]
+        bps = breaking_points(view)
+        answers[kind[0]] = (sum(members), [node_label(view.orders[x]) for x in bps if members[x] == 1])
+        answers[kind] = (view.size, [view.labels[x] for x in bps])
+    return {kind: answers[kind] for kind in KINDS}
 
 
 @dataclass(frozen=True)
@@ -496,29 +518,21 @@ def _iso_key(spec: GroupSpec) -> GroupSpec:
 def _scan_row(spec: str, order: int, max_order: int, max_subgroups: int) -> ScanRow:
     """The row of one group, a spec of the given expected order.
 
-    L and C are not built: a breaking point of L is normal, so those of
-    L are the Lbar breaking points whose class has one member, and the
-    same holds for C and Cbar.
+    The breaking-point flags come from view_answers, so only the Lbar
+    and Cbar views are built.
     """
     try:
         a = _analyze(spec, max_order, max_subgroups)
     except SubgroupCapExceeded:
         return ScanRow(spec=spec, order=order, skipped="subgroup-cap")
-    classes = a.classes.classes
-    bp = {}
-    for kind in ("Lbar", "Cbar"):
-        view = a.posets[kind]
-        bp[kind] = [len(classes[view.payload[x]]) for x in breaking_points(view)]
+    bp = {f"bp_{kind}": bool(labels) for kind, (_, labels) in view_answers(a).items()}
     w = two_interval_cover(a.posets["Lbar"])
     return ScanRow(
         spec=a.group.spec,
         order=a.group.order,
         n_subgroups=len(a.lattice.subs),
-        n_classes=len(classes),
-        bp_L=1 in bp["Lbar"],
-        bp_Lbar=bool(bp["Lbar"]),
-        bp_C=1 in bp["Cbar"],
-        bp_Cbar=bool(bp["Cbar"]),
+        n_classes=len(a.classes.classes),
+        **bp,
         in_C=w is not None,
         witnesses=len(w.all_pairs) if w is not None else 0,
         is_abelian=a.profile.is_abelian,

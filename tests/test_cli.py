@@ -18,6 +18,7 @@ import oracles
 from latcover.cli import (
     SCAN_HEADER,
     AnalysisReport,
+    PosetSummary,
     build_report,
     main,
     poset_dot,
@@ -25,8 +26,10 @@ from latcover.cli import (
     scan_rows_table,
 )
 from latcover import cli, verify
-from latcover.posets import KINDS
-from latcover.verify import CaseResult, SuiteResult, analyze_spec, scan_class_c
+from latcover.groups import DEFAULT_MAX_ORDER
+from latcover.posets import KINDS, breaking_points, build_poset
+from latcover.subgroups import DEFAULT_MAX_SUBGROUPS
+from latcover.verify import CATALOG, CaseResult, SuiteResult, analyze_spec, scan_class_c
 
 
 def test_analyze_prints_report(capsys):
@@ -343,6 +346,40 @@ def test_build_report_counts_witnesses():
     assert rep.class_c.witness_count == 2
     rep = build_report(a, all_witnesses=False, elapsed_s=0.0)
     assert rep.class_c.witness_count is None
+
+
+# the groups the benchmark's tables and lattices workloads analyze, and two that are not solvable,
+# whose L and C views are larger than their Lbar and Cbar views
+REPORT_SPECS = [
+    *CATALOG,
+    "C512",
+    "C500",
+    "M2^8",
+    "Q256",
+    "C2xC2xC2xC2xC2xC2",
+    "C2xC2xC2xD8",
+    "S4xC2xC2",
+    "A6",
+    "perm:8:(1,2,3,4,5,6,7);(1,8)(2,7)(3,4)(5,6)",
+]
+
+
+@pytest.mark.parametrize("spec", REPORT_SPECS)
+def test_build_report_builds_only_the_class_views_and_answers_for_every_view(spec, monkeypatch):
+    built = []
+    real_build = verify.build_poset
+
+    def spy_build(lat, ccp, kind):
+        built.append(kind)
+        return real_build(lat, ccp, kind)
+
+    monkeypatch.setattr(verify, "build_poset", spy_build)
+    a = verify._analyze(spec, DEFAULT_MAX_ORDER, DEFAULT_MAX_SUBGROUPS)
+    summaries = build_report(a, True, 0.0).posets
+    assert sorted(built) == ["Cbar", "Lbar"]
+    # each summary as read off its own view, L and C included
+    views = [build_poset(a.lattice, a.classes, kind) for kind in KINDS]
+    assert summaries == [PosetSummary(v.kind, v.size, [v.labels[x] for x in breaking_points(v)]) for v in views]
 
 
 def test_poset_dot_shape():

@@ -81,7 +81,7 @@ def _assert_same_lattice(spec):
     fast, slow = enumerate_subgroups(g), oracles.coset_enumerate_subgroups(g)
     assert fast.subs == slow.subs, spec
     assert fast.within == slow.within, spec
-    assert fast.subset == oracles.containment_rows(slow.subs), spec
+    assert fast.rows(range(len(fast.subs))) == oracles.containment_rows(slow.subs), spec
     assert fast.orbit == oracles.orbits_by_least_member(slow.orbit), spec
     assert fast._index == slow._index, spec
 

@@ -140,6 +140,16 @@ def test_maximal_subgroups():
     assert [a.lattice.subs[i].order for i in maximal_subgroups(a.lattice)] == [2, 2, 2, 3]
 
 
+@pytest.mark.parametrize("spec", CATALOG)
+def test_maximal_subgroups_match_the_containment_oracle(spec):
+    lat = analyze_spec(spec).lattice
+    rows = oracles.containment_rows(lat.subs)
+    proper = range(len(lat.subs) - 1)
+    # a proper subgroup inside no other proper subgroup
+    want = [i for i in proper if not any(rows[i] >> j & 1 for j in proper if j != i)]
+    assert maximal_subgroups(lat) == want
+
+
 def test_frattini():
     c8 = analyze_spec("C8")
     assert frattini(c8.lattice).order == 4

@@ -220,23 +220,22 @@ def test_index_of_takes_the_elements_in_any_order():
 @pytest.mark.parametrize("spec", ["D12", "S4", "C2xC2xC2xC2"])
 def test_subset_bitrows_match_containment(spec):
     lat = analyze_spec(spec).lattice
+    rows = lat.rows(range(len(lat.subs)))
     for i, a in enumerate(lat.subs):
         sa = set(a.elems)
         for j, b in enumerate(lat.subs):
-            assert bool(lat.subset[i] >> j & 1) == sa.issubset(b.elems)
+            assert bool(rows[i] >> j & 1) == sa.issubset(b.elems)
 
 
 @pytest.mark.parametrize("spec", ["C1", "C12", "S4", "A5", "SD16", "C2xC2xC2xD8", "S4xC2xC2"])
-def test_class_views_read_representative_rows_and_subset_is_built_on_first_read(spec):
+def test_representative_rows_are_the_full_rows_of_the_representatives(spec):
     lat = enumerate_subgroups(build_group(spec))
     ccp = conjugacy_classes(lat)
-    lazy = {kind: build_poset(lat, ccp, kind) for kind in ("Lbar", "Cbar")}
-    assert "subset" not in lat.__dict__
-    assert lat.subset == oracles.containment_rows(lat.subs)
-    assert lat.rows(ccp.rep) == [lat.subset[r] for r in ccp.rep]
-    # with every row built, the class views come out the same
-    for kind, view in lazy.items():
-        assert build_poset(lat, ccp, kind) == view, kind
+    full = lat.rows(range(len(lat.subs)))
+    assert full == oracles.containment_rows(lat.subs)
+    assert lat.rows(ccp.rep) == [full[r] for r in ccp.rep]
+    cyclic = [i for i, f in enumerate(lat.cyclic) if f]
+    assert lat.rows(cyclic) == [full[i] for i in cyclic]
 
 
 @pytest.mark.parametrize("spec", ["C1", "S4", "Q16", "C2xC2xC2xD8", "C12"])

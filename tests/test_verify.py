@@ -9,7 +9,7 @@ import pytest
 from latcover import verify
 from latcover.groups import DEFAULT_MAX_ORDER, ZM, primes_of
 from latcover.posets import KINDS, breaking_points, two_interval_cover
-from latcover.subgroups import DEFAULT_MAX_SUBGROUPS
+from latcover.subgroups import DEFAULT_MAX_SUBGROUPS, SubgroupLattice
 from latcover.verify import (
     CATALOG,
     FAMILY_NAMES,
@@ -325,8 +325,8 @@ def test_scan_copies_a_capped_row_to_its_isomorphic_specs():
 
 
 def test_scan_row_builds_only_the_class_views_and_no_full_containment_rows(monkeypatch):
-    built, lattices = [], []
-    real_build, real_analyze = verify.build_poset, verify._analyze
+    built, lattices, asked = [], [], []
+    real_build, real_analyze, real_rows = verify.build_poset, verify._analyze, SubgroupLattice.rows
 
     def spy_build(lat, ccp, kind):
         built.append(kind)
@@ -337,12 +337,21 @@ def test_scan_row_builds_only_the_class_views_and_no_full_containment_rows(monke
         lattices.append(a.lattice)
         return a
 
+    def spy_rows(lat, indices):
+        asked.append((lat, list(indices)))
+        return real_rows(lat, indices)
+
     monkeypatch.setattr(verify, "build_poset", spy_build)
     monkeypatch.setattr(verify, "_analyze", spy_analyze)
+    monkeypatch.setattr(SubgroupLattice, "rows", spy_rows)
     rows = scan_class_c(24)
     assert {r.is_abelian for r in rows} == {False, True}
     assert built == ["Lbar", "Cbar"] * len(lattices)
-    assert not any("subset" in lat.__dict__ for lat in lattices)
+    # rows are asked for class representatives only, the least member of each orbit
+    assert len(asked) == 2 * len(lattices)
+    for lat, indices in asked:
+        assert all(lat.orbit.index(lat.orbit[i]) == i for i in indices)
+    assert any(len(indices) < len(lat.subs) for lat, indices in asked)
 
 
 def test_analysis_posets_is_a_read_only_mapping_of_every_kind():
