@@ -20,7 +20,7 @@ import io
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Any
 
@@ -69,7 +69,16 @@ class AnalysisReport:
     elapsed_s: float
 
     def to_dict(self) -> dict[str, Any]:
-        return asdict(self)
+        # getattr, not asdict: asdict deep-copies every witness label list
+        d = _fields_dict(self)
+        d["posets"] = [_fields_dict(p) for p in self.posets]
+        d["class_c"] = _fields_dict(self.class_c)
+        return d
+
+
+def _fields_dict(obj: Any) -> dict[str, Any]:
+    """A dataclass's fields by name, in field order, the values not copied."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
 def build_report(a: Analysis, all_witnesses: bool, elapsed_s: float) -> AnalysisReport:

@@ -32,10 +32,13 @@ class GroupTable:
     """A finite group on 0..order-1 with identity 0.
 
     Treated as immutable after construction; instances are safe to share.
+    Each row of mul is indexed and iterated like a list of ints.  Up to
+    order 257 the rows are lists; above it they are read-only memoryview
+    slices of the index array the check proved (see _rows).
     """
 
     order: int
-    mul: list[list[int]]
+    mul: list[Sequence[int]]
     inv: list[int]
     labels: list[str]
     spec: str
@@ -105,7 +108,7 @@ class ValidationResult:
     witness: tuple[int, ...] | None = None
 
 
-def _right_generators(mul: list[list[int]]) -> list[int] | None:
+def _right_generators(mul: Sequence[Sequence[int]]) -> list[int] | None:
     """Greedy generators, in index order, whose right-multiplication closure from 0 is everything.
 
     Only the column of each generator is read.  In a group each generator
@@ -194,7 +197,18 @@ def _validate_table(m: np.ndarray, g: GroupTable) -> ValidationResult:
         np.array_equal(m[ar, iv], zeros) and np.array_equal(m[iv, ar], zeros)
     )
     gens = g.generators
-    if identity and inverse and gens is not None and all(np.array_equal(m[m[:, a]], m[:, m[a]]) for a in gens):
+    # Light's test on blocks of rows of about 2^21 cells, so no n x n gather is held whole
+    block = max(1, (1 << 21) // n)
+    if (
+        identity
+        and inverse
+        and gens is not None
+        and all(
+            np.array_equal(m[m[s : s + block, a]], m[s : s + block, m[a]])
+            for a in gens
+            for s in range(0, n, block)
+        )
+    ):
         return ValidationResult(True)
     if not np.array_equal(np.sort(m, axis=1), np.broadcast_to(ar, (n, n))):
         for i, row in enumerate(m.tolist()):
@@ -710,16 +724,20 @@ def _parse_atom(s: str) -> GroupSpec:
 # table builders
 
 
-def _rows(m: np.ndarray) -> list[list[int]]:
-    """An n x n array of indices as lists of plain ints, one shared int object per index.
+def _rows(m: np.ndarray) -> list[Sequence[int]]:
+    """The rows of a checked n x n index array, as GroupTable.mul keeps them.
 
-    CPython already shares the ints up to 256.  Above that, plain
-    .tolist() makes a fresh int for every cell: 4 MB more for a
-    512 x 512 table, whose list slots take 2 MB.
+    Up to order 257 every index is one of the ints CPython caches, so
+    m.tolist() makes no int object, and a list cell reads fastest.
+    Above that, each row is a read-only memoryview slice of m itself:
+    no Python object per cell, and a cell becomes an int only when read.
+    m must be C-contiguous, so that its flat view is m's own memory.
     """
-    if len(m) <= 257:
+    n = len(m)
+    if n <= 257:
         return m.tolist()
-    return np.array(range(len(m)), dtype=object)[m].tolist()
+    flat = memoryview(m.reshape(-1)).toreadonly()
+    return [flat[i : i + n] for i in range(0, n * n, n)]
 
 
 @dataclass(frozen=True)
@@ -759,8 +777,8 @@ def _build_metacyclic(mx: int, k: int, t: int, twist: int, xn: str, yn: str) -> 
     # on axes (i, e, j, f), i k + w < 2n, in the narrowest unsigned type that holds 2n
     dt = np.min_scalar_type(2 * n)
     m = np.arange(0, n, k, dtype=dt)[:, None, None, None] + w.astype(dt)
-    # where i k + w < n, m - n wraps around to above m
-    m = np.minimum(m, m - dt.type(n))
+    # where i k + w < n, m - n wraps around to above m; in place, so two n x n arrays are held, not three
+    np.minimum(m, m - dt.type(n), out=m)
     return _Draft(m.reshape(n, n), labels)
 
 
@@ -866,15 +884,17 @@ def build_group(spec: GroupSpec | str, max_order: int = DEFAULT_MAX_ORDER) -> Gr
 
     The builder hands over a table and its labels; the rest is read here.
     Row x holds 0, its least index, once: at column x^-1, which the check
-    then proves.  The check is validate_group's, run on the index array
-    the builder made rather than on an array made again from the rows.
+    then proves.  The check is validate_group's, run on the builder's
+    index array narrowed to the least type that holds every index, and
+    the rows kept are read from that same array (_rows).
     """
     if isinstance(spec, str):
         spec = parse_spec(spec)
     _check_order(spec, max_order)
     draft = spec.draft(max_order)
-    m = draft.table
-    g = GroupTable(len(m), _rows(m), m.argmin(axis=1).tolist(), draft.labels, spec.canonical())
+    n = len(draft.table)
+    m = draft.table.astype(np.min_scalar_type(n - 1), order="C", copy=False)
+    g = GroupTable(n, _rows(m), m.argmin(axis=1).tolist(), draft.labels, spec.canonical())
     check = _validate_table(m, g)
     if not check.ok:
         raise RuntimeError(

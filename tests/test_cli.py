@@ -5,10 +5,12 @@ import functools
 import io
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
@@ -80,6 +82,46 @@ def test_analyze_json_roundtrip(tmp_path, capsys):
     for summary in loaded["posets"]:
         assert list(summary) == ["kind", "elements", "breaking_points"]
     assert list(loaded["class_c"]) == ["member", "witness_m", "witness_n", "witness_count"]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "C512",
+        "C500",
+        "M2^8",
+        "Q256",
+        "C2xC2xC2xC2xC2xC2",
+        "C2xC2xC2xD8",
+        "S4xC2xC2",
+        "A6",
+        "perm:8:(1,2,3,4,5,6,7);(1,8)(2,7)(3,4)(5,6)",
+    ],
+)
+def test_report_to_dict_writes_what_asdict_writes(spec):
+    report = build_report(analyze_spec(spec), True, 0.125)
+    assert json.dumps(report.to_dict()) == json.dumps(asdict(report))
+
+
+def test_analyze_order_2048_peak_memory():
+    # the child's own peak RSS, read by a wrapper whose only child it is
+    pytest.importorskip("resource")
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(latcover.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    wrapper = (
+        "import resource, subprocess, sys\n"
+        "code = subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL).returncode\n"
+        "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+    )
+    command = [sys.executable, "-m", "latcover", "analyze", "C2048", "--max-order", "2048"]
+    proc = subprocess.run([sys.executable, "-c", wrapper, *command], capture_output=True, text=True, env=env)
+    code, maxrss = map(int, proc.stdout.split())
+    # ru_maxrss is in bytes on macOS and in kilobytes elsewhere
+    mb = maxrss / (1 << 20 if sys.platform == "darwin" else 1 << 10)
+    assert code == 0
+    # the numpy table is 8 MB; a Python list slot per cell would add 32 MB more
+    assert mb < 75
 
 
 def test_analyze_elapsed_includes_the_queries(tmp_path, capsys, monkeypatch):

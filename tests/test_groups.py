@@ -416,7 +416,7 @@ BUILDER_SPECS = [
 
 def _assert_same_table(g: GroupTable, h: GroupTable) -> None:
     assert (g.order, g.spec, g.inv, g.labels) == (h.order, h.spec, h.inv, h.labels)
-    assert g.mul == h.mul
+    assert [list(row) for row in g.mul] == [list(row) for row in h.mul]
     assert all(type(v) is int for row in g.mul for v in row)
     assert all(type(v) is int for v in g.inv)
 
@@ -436,16 +436,48 @@ def test_builders_match_python_tables(spec, monkeypatch):
 
 @pytest.mark.parametrize("n", [*range(1, 41), 256, 257, 258, 500, 512])
 def test_cyclic_tables_match_python(n):
-    # up to order 257 the rows come from tolist(), above it from the object-array path
+    # up to order 257 the rows are lists, above it views of the checked array
     spec = parse_spec(f"C{n}")
     _assert_same_table(build_group(spec), oracles.python_build_cyclic(spec))
 
 
-@pytest.mark.parametrize("spec", ["C500", "C512", "D512"])
-def test_rows_share_one_int_per_index(spec):
-    g = build_group(spec)
-    first = g.mul[0]  # the identity row holds each index in order
-    assert all(v is first[v] for row in g.mul for v in row)
+@pytest.mark.parametrize("spec", ["C500", "C512", "D512", "A6"])
+def test_rows_above_order_257_are_read_only_views_of_the_checked_array(spec, monkeypatch):
+    checked = []
+    validate_table = groups._validate_table
+    monkeypatch.setattr(groups, "_validate_table", lambda m, g: checked.append(m) or validate_table(m, g))
+    g = build_group(spec, max_order=720)
+    [m] = checked
+    # narrowed once, before the check, which then copies nothing
+    assert m.dtype == np.min_scalar_type(g.order - 1)
+    assert len(g.mul) == len(m)
+    for row, want in zip(g.mul, m):
+        assert type(row) is memoryview
+        assert list(row) == want.tolist()
+        assert np.shares_memory(np.asarray(row), m)
+        with pytest.raises(TypeError):
+            row[0] = row[1]
+    # validate_group reads the rows again, through np.asarray
+    assert validate_group(g).ok
+
+
+@pytest.mark.parametrize("spec", ["C256", "C257"])
+def test_rows_up_to_order_257_are_lists(spec):
+    assert all(type(row) is list for row in build_group(spec).mul)
+
+
+def test_lights_test_reads_every_block_of_rows():
+    g = build_group("C2048", max_order=2048)
+    m = np.asarray(g.mul)
+    # Light's test runs on blocks of about 2^21 cells: two of them here
+    assert len(range(0, g.order, (1 << 21) // g.order)) == 2
+    assert groups._validate_table(m, g).ok
+    # two cells swapped in a row of the second block: a fast path that skipped it would pass the copy
+    bad = m.copy()
+    bad[1500, [1, 2]] = bad[1500, [2, 1]]
+    h = GroupTable(g.order, groups._rows(bad), g.inv, g.labels, "bad")
+    res = groups._validate_table(bad, h)
+    assert (res.ok, res.problem) == (False, "latin")
 
 
 @pytest.mark.parametrize("spec", [f"{family}{n}" for family in "SA" for n in range(1, 7)])
